@@ -219,6 +219,113 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), x.requires_grad, (x,), bwd)
 
 
+def _taps(k: int, h: int, w: int):
+    """Per tap (dy, dx) of a same-size k×k window over an H×W image: the
+    output pixels whose source pixel lies inside the image, and those
+    source pixels, as index tuples over the trailing two axes."""
+    pad = (k - 1) // 2
+
+    def span(o, n):
+        lo = max(0, -o)
+        hi = max(lo, min(n, n - o))
+        return slice(lo, hi), slice(lo + o, hi + o)
+
+    for dy in range(k):
+        ys_out, ys_src = span(dy - pad, h)
+        for dx in range(k):
+            xs_out, xs_src = span(dx - pad, w)
+            yield dy, dx, (..., ys_out, xs_out), (..., ys_src, xs_src)
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """[N,C,H,W] -> [N, C·k², H·W]: the k×k window around each pixel,
+    zero where it leaves the image."""
+    n, c, h, w = x.shape
+    cols = np.zeros((n, c, k, k, h, w))
+    for dy, dx, out, src in _taps(k, h, w):
+        cols[:, :, dy, dx][out] = x[src]
+    return cols.reshape(n, c * k * k, h * w)
+
+
+def _col2im(cols: np.ndarray, shape: tuple, k: int) -> np.ndarray:
+    """Adjoint of `_im2col`: [N, C·k², H·W] -> `shape` [N,C,H,W], each tap
+    plane added back onto the pixels it was read from."""
+    n, c, h, w = shape
+    cols = cols.reshape(n, c, k, k, h, w)
+    out = np.zeros(shape)
+    for dy, dx, dst, src in _taps(k, h, w):
+        out[src] += cols[:, :, dy, dx][dst]
+    return out
+
+
+def _batch_cols(a: np.ndarray) -> np.ndarray:
+    """[N, R, P] -> [R, N·P], so that one GEMM sums over the batch."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _gemm_weights(kernel: np.ndarray) -> np.ndarray:
+    """The kernel as the GEMM operand of `conv_forward`'s branch for it:
+    [Cout, Cin·k²] when Cin <= Cout; otherwise [Cout·k², Cin] with the
+    taps flipped, so that col2im of its product places each tap."""
+    cout, cin, k, _ = kernel.shape
+    if cin <= cout:
+        return kernel.reshape(cout, cin * k * k)
+    return kernel[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(cout * k * k, cin)
+
+
+def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
+    """Same-size 2D cross-correlation with zero padding on plain arrays.
+
+    x: [N,Cin,H,W], kernel: [Cout,Cin,k,k] with k odd, bias: [Cout].
+    One GEMM unfolds the narrower channel side (kn2row for the output
+    side; Anderson et al., arXiv 1709.03395): when Cin <= Cout the input
+    is unfolded (im2col) and multiplied by the kernel; otherwise the
+    kernel taps multiply the input first and col2im adds the k² tap
+    planes into the output. Returns the [N,Cout,H,W] output and the
+    unfolded input (None on the output side) for `conv_backward`.
+    """
+    cout, cin, k, _ = kernel.shape
+    n, _, h, w = x.shape
+    wmat = _gemm_weights(kernel)
+    if cin <= cout:
+        cols = _im2col(x, k)
+        out = (wmat @ cols).reshape(n, cout, h, w)
+    else:
+        cols = None
+        out = _col2im(wmat @ x.reshape(n, cin, h * w), (n, cout, h, w), k)
+    return out + bias[:, None, None], cols
+
+
+def conv_backward(g: np.ndarray, x: np.ndarray, kernel: np.ndarray, cols,
+                  need_x: bool, need_kernel: bool):
+    """Input and kernel gradients of `conv_forward` given the output
+    gradient g [N,Cout,H,W] and the `cols` it returned; each is None when
+    not needed. The kernel gradient is summed over N.
+
+    Input side: dW = g @ colsᵀ, dx = col2im(Wᵀ @ g). Output side: the
+    output gradient is unfolded instead (Cout·k² rows), dW = im2col(g) @ xᵀ
+    and dx = Wᵀ @ im2col(g), with W the flipped-tap operand.
+    """
+    cout, cin, k, _ = kernel.shape
+    n, _, h, w = x.shape
+    wmat = _gemm_weights(kernel)
+    gx = gk = None
+    if cols is not None:
+        g = g.reshape(n, cout, h * w)
+        if need_kernel:
+            gk = (_batch_cols(g) @ _batch_cols(cols).T).reshape(kernel.shape)
+        if need_x:
+            gx = _col2im(wmat.T @ g, x.shape, k)
+    else:
+        gcols = _im2col(g, k)
+        if need_kernel:
+            gw = _batch_cols(gcols) @ _batch_cols(x.reshape(n, cin, h * w)).T
+            gk = gw.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        if need_x:
+            gx = (wmat.T @ gcols).reshape(x.shape)
+    return gx, gk
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Same-size 2D cross-correlation with zero padding.
 
@@ -232,36 +339,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if x.shape[0] != cin or bias.shape[0] != cout:
         raise AutodiffError(
             f"conv2d: channel mismatch (input {x.shape[0]} vs {cin}, bias {bias.shape[0]} vs {cout})")
-    k = kh
-    pad = (k - 1) // 2
-    _, h, w = x.shape
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    # im2col: one GEMM instead of k*k shifted products
-    cols = np.empty((cin, k, k, h, w))
-    for dy in range(k):
-        for dx in range(k):
-            cols[:, dy, dx] = xp[:, dy:dy + h, dx:dx + w]
-    cols = cols.reshape(cin * k * k, h * w)
-    kmat = kernel.data.reshape(cout, cin * k * k)
-    out_data = (kmat @ cols).reshape(cout, h, w) + bias.data[:, None, None]
+    out_data, cols = conv_forward(x.data[None], kernel.data, bias.data)
 
     out_req = x.requires_grad or kernel.requires_grad or bias.requires_grad
 
     def bwd(out):
-        g = out.grad.reshape(cout, h * w)
         if bias.requires_grad:
             bias.grad += out.grad.sum(axis=(1, 2))
-        if kernel.requires_grad:
-            kernel.grad += (g @ cols.T).reshape(kernel.shape)
-        if x.requires_grad:
-            gcols = (kmat.T @ g).reshape(cin, k, k, h, w)
-            gxp = np.zeros_like(xp)
-            for dy in range(k):
-                for dx in range(k):
-                    gxp[:, dy:dy + h, dx:dx + w] += gcols[:, dy, dx]
-            x.grad += gxp[:, pad:pad + h, pad:pad + w]
+        gx, gk = conv_backward(out.grad[None], x.data[None], kernel.data, cols,
+                               x.requires_grad, kernel.requires_grad)
+        if gk is not None:
+            kernel.grad += gk
+        if gx is not None:
+            x.grad += gx[0]
 
-    return Tensor(out_data, out_req, (x, kernel, bias), bwd)
+    return Tensor(out_data[0], out_req, (x, kernel, bias), bwd)
 
 
 def backward(loss: Tensor) -> None:

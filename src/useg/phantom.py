@@ -55,12 +55,14 @@ class PhantomSample:
 MAX_PLACEMENT_ATTEMPTS = 1000
 
 
-def _ellipse_mask(size: int, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+def _ellipse_mask(grid, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
+    """Pixels of the ellipse on `grid`, the (row, column) coordinate pair
+    of `np.ogrid` for the phantom size."""
+    yy, xx = grid
     return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
 
 
-def _generate_sample(cfg: PhantomConfig, rng: np.random.Generator) -> PhantomSample:
+def _generate_sample(cfg: PhantomConfig, rng: np.random.Generator, grid) -> PhantomSample:
     labels = np.zeros((cfg.size, cfg.size), dtype=np.int64)
     occupied = np.zeros((cfg.size, cfg.size), dtype=bool)
     lo, hi = cfg.radius_range
@@ -69,7 +71,7 @@ def _generate_sample(cfg: PhantomConfig, rng: np.random.Generator) -> PhantomSam
             ry, rx = rng.uniform(lo, hi, size=2)
             cy = rng.uniform(ry, cfg.size - 1 - ry)
             cx = rng.uniform(rx, cfg.size - 1 - rx)
-            mask = _ellipse_mask(cfg.size, cy, cx, ry, rx)
+            mask = _ellipse_mask(grid, cy, cx, ry, rx)
             if mask.sum() >= 9 and not (mask & occupied).any():
                 labels[mask] = organ
                 occupied |= mask
@@ -91,7 +93,8 @@ def generate_dataset(cfg: PhantomConfig, n: int) -> list:
     if n < 1:
         raise PhantomError("n must be >= 1")
     root = np.random.SeedSequence(cfg.seed)
-    return [_generate_sample(cfg, np.random.Generator(np.random.PCG64(ss)))
+    grid = np.ogrid[0:cfg.size, 0:cfg.size]
+    return [_generate_sample(cfg, np.random.Generator(np.random.PCG64(ss)), grid)
             for ss in root.spawn(n)]
 
 

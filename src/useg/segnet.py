@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d, relu
+from .autodiff import Tensor, conv2d, conv_forward, relu
 
 MAGIC = b"USEG"
 VERSION = 1
@@ -112,31 +112,18 @@ def forward_batch_nograd(model: SegModel, images: np.ndarray) -> np.ndarray:
     """Plain-numpy batched forward: [N,Cin,H,W] -> [N,C,H,W] logits.
 
     No graph is recorded; used for the perturbation-ensemble teacher
-    passes where gradients are never needed. Matches `forward` exactly
-    per image.
+    passes and for predictions, where gradients are never needed. Runs
+    the same conv core as `forward`, so it matches it per image.
     """
     x = np.asarray(images, dtype=np.float64)
     if x.ndim != 4 or x.shape[1] != model.config.in_channels:
         raise ModelError(f"expected [N,{model.config.in_channels},H,W], got {x.shape}")
     last = len(model.layers) - 1
     for li, (kern, bias) in enumerate(model.layers):
-        x = _conv_batch(x, kern.data, bias.data)
+        x, _ = conv_forward(x, kern.data, bias.data)
         if li < last:
             x = np.maximum(x, 0.0)
     return x
-
-
-def _conv_batch(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    cout, cin, k, _ = kern.shape
-    pad = (k - 1) // 2
-    n, _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, cin, k, k, h, w))
-    for dy in range(k):
-        for dx in range(k):
-            cols[:, :, dy, dx] = xp[:, :, dy:dy + h, dx:dx + w]
-    out = kern.reshape(cout, cin * k * k) @ cols.reshape(n, cin * k * k, h * w)
-    return out.reshape(n, cout, h, w) + bias[None, :, None, None]
 
 
 def _glorot_bound(cin: int, cout: int, k: int) -> float:

@@ -91,11 +91,6 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(params, state: Adam):
-    """Single optimizer transaction; gradients must already be filled."""
-    state.step()
-
-
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:
     """2|P∩G| / (|P|+|G|); empty vs empty defined as 1."""
     pred = np.asarray(pred).astype(bool)
@@ -125,8 +120,13 @@ class EvalReport:
 
 
 def config_hash(cfg) -> str:
+    """Identity of an experiment's settings. `out_dir` only says where a
+    run is written, so it is left out: one experiment gets one hash in
+    every output directory."""
     import dataclasses
-    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=str)
+    doc = dataclasses.asdict(cfg)
+    doc.pop("out_dir", None)
+    blob = json.dumps(doc, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -158,11 +158,6 @@ def evaluate(model: segnet.SegModel, samples, organs, cfg=None) -> EvalReport:
 def _batches(indices, batch_size):
     for i in range(0, len(indices), batch_size):
         yield indices[i:i + batch_size]
-
-
-def _train_dice(model, samples, organs):
-    rep = evaluate(model, samples, organs)
-    return rep.per_organ
 
 
 def train_teacher(samples, num_organs: int, cfg: TrainConfig,
@@ -201,7 +196,7 @@ def train_teacher(samples, num_organs: int, cfg: TrainConfig,
         if log_rows is not None:
             row = {"epoch": epoch, "loss": epoch_loss / n_batches}
             row.update({f"dice_organ{k}": v
-                        for k, v in _train_dice(model, samples, organs).items()})
+                        for k, v in evaluate(model, samples, organs).per_organ.items()})
             log_rows.append(row)
     model.freeze()
     return model

@@ -9,6 +9,8 @@ from useg.autodiff import (
     backward,
     concat,
     conv2d,
+    conv_backward,
+    conv_forward,
     relu,
 )
 
@@ -31,6 +33,19 @@ def conv2d_naive(x, kernel, bias):
                                 acc += kernel[o, c, dy, dx] * x[c, sy, sx]
                 out[o, y, xx] = acc
     return out
+
+
+# (Cin, Cout, k, H, W). conv2d unfolds the input when Cin <= Cout and the
+# output otherwise; the shapes cover both sides, a 5x5 kernel and H != W.
+CONV_SHAPES = [
+    (16, 3, 3, 6, 6),
+    (4, 1, 3, 5, 5),
+    (8, 2, 5, 6, 6),
+    (5, 4, 3, 4, 7),
+    (1, 8, 3, 6, 6),
+    (3, 3, 3, 5, 4),
+    (2, 5, 5, 7, 3),
+]
 
 
 class TestConv2d:
@@ -62,6 +77,15 @@ class TestConv2d:
         cin, cout = rng.integers(1, 4), rng.integers(1, 4)
         k = rng.choice([1, 3, 5])
         h, w = rng.integers(1, 7), rng.integers(1, 7)
+        x = rng.uniform(-1, 1, (cin, h, w))
+        kern = rng.uniform(-1, 1, (cout, cin, k, k))
+        bias = rng.uniform(-1, 1, cout)
+        got = conv2d(Tensor(x), Tensor(kern), Tensor(bias)).data
+        assert np.abs(got - conv2d_naive(x, kern, bias)).max() < 1e-12
+
+    @pytest.mark.parametrize("cin,cout,k,h,w", CONV_SHAPES)
+    def test_both_gemm_sides_match_naive_oracle(self, cin, cout, k, h, w):
+        rng = np.random.Generator(np.random.PCG64(cin * 100 + cout * 10 + k))
         x = rng.uniform(-1, 1, (cin, h, w))
         kern = rng.uniform(-1, 1, (cout, cin, k, k))
         bias = rng.uniform(-1, 1, cout)
@@ -115,6 +139,23 @@ def finite_diff(fn, x, h=1e-5):
 
 def rel_err(a, b):
     return np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))
+
+
+def conv_grad_fd_error(rng, cin, cout, k, h, w):
+    """Largest relative error between conv2d's input, kernel and bias
+    gradients of a squared-error loss and central finite differences."""
+    x = Tensor(rng.uniform(-1, 1, (cin, h, w)), requires_grad=True)
+    kern = Tensor(rng.uniform(-1, 1, (cout, cin, k, k)), requires_grad=True)
+    bias = Tensor(rng.uniform(-1, 1, cout), requires_grad=True)
+    target = rng.uniform(-1, 1, (cout, h, w))
+
+    def forward():
+        d = conv2d(x, kern, bias) - Tensor(target)
+        return (d * d).mean()
+
+    backward(forward())
+    return max(rel_err(t.grad, finite_diff(lambda: float(forward().data), t.data)).max()
+               for t in (x, kern, bias))
 
 
 class TestBackward:
@@ -184,19 +225,30 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_conv_gradients_match_fd(self, seed):
         rng = np.random.Generator(np.random.PCG64(200 + seed))
-        x = Tensor(rng.uniform(-1, 1, (2, 4, 4)), requires_grad=True)
-        kern = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
-        bias = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-        target = rng.uniform(-1, 1, (3, 4, 4))
+        assert conv_grad_fd_error(rng, 2, 3, 3, 4, 4) < 1e-4
 
-        def forward():
-            d = conv2d(x, kern, bias) - Tensor(target)
-            return (d * d).mean()
+    @pytest.mark.parametrize("cin,cout,k,h,w", CONV_SHAPES)
+    def test_conv_gradients_match_fd_both_gemm_sides(self, cin, cout, k, h, w):
+        rng = np.random.Generator(np.random.PCG64(300 + cin * 10 + cout))
+        assert conv_grad_fd_error(rng, cin, cout, k, h, w) < 1e-4
 
-        backward(forward())
-        for t in (x, kern, bias):
-            fd = finite_diff(lambda: float(forward().data), t.data)
-            assert rel_err(t.grad, fd).max() < 1e-4
+    @pytest.mark.parametrize("cin,cout,k,h,w", CONV_SHAPES)
+    def test_conv_core_batch_equals_per_image(self, cin, cout, k, h, w):
+        rng = np.random.Generator(np.random.PCG64(400 + cin * 10 + cout))
+        x = rng.uniform(-1, 1, (3, cin, h, w))
+        kern = rng.uniform(-1, 1, (cout, cin, k, k))
+        bias = rng.uniform(-1, 1, cout)
+        g = rng.uniform(-1, 1, (3, cout, h, w))
+        out, cols = conv_forward(x, kern, bias)
+        gx, gk = conv_backward(g, x, kern, cols, True, True)
+        gk_sum = np.zeros_like(kern)
+        for i in range(3):
+            out_i, cols_i = conv_forward(x[i:i + 1], kern, bias)
+            gx_i, gk_i = conv_backward(g[i:i + 1], x[i:i + 1], kern, cols_i, True, True)
+            assert np.abs(out_i - out[i:i + 1]).max() < 1e-12
+            assert np.abs(gx_i - gx[i:i + 1]).max() < 1e-12
+            gk_sum += gk_i
+        assert np.abs(gk_sum - gk).max() < 1e-12
 
 
 class TestInvariants:

@@ -97,6 +97,18 @@ class TestForward:
             single = model.forward(Tensor(imgs[i])).data
             assert np.abs(batched[i] - single).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_batched_matches_per_image_on_trainable_student(self, n):
+        teacher = init_random(SegModelConfig(num_classes=3), 11)
+        teacher.freeze()
+        student = extend_for_increment(teacher, 1, 12)
+        assert not student.frozen
+        imgs = rng_for(3).uniform(0, 1, (n, 1, 9, 7))
+        batched = forward_batch_nograd(student, imgs)
+        for i in range(n):
+            single = student.forward(Tensor(imgs[i])).data
+            assert np.abs(batched[i] - single).max() < 1e-12
+
     def test_wrong_channels_rejected(self):
         model = init_random(SegModelConfig(num_classes=3), 0)
         with pytest.raises(ModelError):

@@ -266,3 +266,10 @@ class TestConfigHash:
         c = trainer.config_hash(quick_cfg(lambda3=5.0))
         assert a == b
         assert a != c
+
+    def test_out_dir_not_hashed(self):
+        from useg.config import parse_experiment
+        doc = {"seed": 0, "scenario": {"teacher_organs": 2, "new_organ": 3}}
+        a = parse_experiment({**doc, "out_dir": "a"})
+        b = parse_experiment({**doc, "out_dir": "b"})
+        assert trainer.config_hash(a) == trainer.config_hash(b)
