@@ -68,9 +68,6 @@ class Tensor:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
@@ -130,9 +127,6 @@ class Tensor:
                 other.grad += _unbroadcast(-out.grad * out_data / other.data, other.shape)
 
         return Tensor(out_data, out_req, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
 
     # -- elementwise nonlinearities ------------------------------------------
 

@@ -298,10 +298,8 @@ def full_objective_gradcheck(seed: int, h: float = 1e-5):
 
     def objective() -> Tensor:
         p_s = losses.softmax_channels(student.forward(Tensor(image)))
-        l_old = losses.loss_old(teacher_probs, losses.remap_old(p_s, k_old), u,
-                                lam1, lam2)
-        l_new = losses.loss_new(losses.remap_new(p_s, k_old), smoothed)
-        return l_old + lam3 * l_new
+        return losses.distill_loss(p_s, teacher_probs, u, smoothed, k_old,
+                                   lam1, lam2, lam3)[0]
 
     loss = objective()
     backward(loss)

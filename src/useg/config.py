@@ -71,8 +71,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in doc:
             raise ConfigError(f"missing required field {key!r}")
-    known = {"phantom", "train", "scenario", "pool", "model",
-             "num_samples", "out_dir", "seed"}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")

@@ -36,6 +36,12 @@ def _npix(shape) -> int:
     return h * w
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the channel axis (-3) of a [..., C, H, W] array, no graph."""
+    e = np.exp(logits - logits.max(axis=-3, keepdims=True))
+    return e / e.sum(axis=-3, keepdims=True)
+
+
 def softmax_channels(logits: Tensor) -> Tensor:
     """Per-pixel softmax over the channel axis of a [C,H,W] tensor."""
     if logits.shape[0] < 2:
@@ -72,20 +78,6 @@ def cross_entropy_hard(labels: np.ndarray, pred: Tensor) -> Tensor:
     onehot = one_hot(labels, pred.shape[0])
     npix = _npix(pred.shape)
     return -(Tensor(onehot) * pred.clamp_min(PROB_EPS).log()).sum() / npix
-
-
-def kd_loss_reference(labels: np.ndarray, p_t, p_s: Tensor, alpha: float) -> Tensor:
-    """Same-dimension distillation loss (1-a)*H(q,p_s) + a*KL(p_t,p_s).
-
-    Reference op only: it requires teacher and student to share a channel
-    count, which is exactly what the background-label-alignment remaps
-    exist to avoid.
-    """
-    t = _as_array(p_t)
-    if t.shape[0] != p_s.shape[0]:
-        raise LossError(
-            f"kd_loss_reference: channel mismatch {t.shape[0]} vs {p_s.shape[0]}")
-    return (1.0 - alpha) * cross_entropy_hard(labels, p_s) + alpha * kl_divergence(t, p_s)
 
 
 def remap_old(p_s: Tensor, num_old_organs: int) -> Tensor:
@@ -149,22 +141,24 @@ def loss_old(p_t, p_hat_old: Tensor, u: np.ndarray,
     return (Tensor(u) * (lambda1 * ce_map + lambda2 * kl_map)).sum() / u.size
 
 
-def loss_new(p_hat_new: Tensor, smoothed, order: str = "as-paper") -> Tensor:
-    """New-task loss against smoothed labels.
-
-    `as-paper` uses the literal prediction-first order KL(p_hat_new, g);
-    `reversed` uses the target-first order KL(g, p_hat_new).
-    """
+def loss_new(p_hat_new: Tensor, smoothed) -> Tensor:
+    """New-task loss against smoothed labels, in the paper's literal
+    prediction-first order KL(p_hat_new, g)."""
     g = _as_array(smoothed)
     if g.shape != p_hat_new.shape:
         raise LossError(f"loss_new shape mismatch: {g.shape} vs {p_hat_new.shape}")
     if (g <= 0).any():
         raise LossError("smoothed labels must be strictly positive")
-    npix = _npix(g.shape)
-    if order == "as-paper":
-        p = p_hat_new.clamp_min(PROB_EPS)
-        inner = p_hat_new * (p.log() - Tensor(np.log(g)))
-        return inner.sum() / npix
-    if order == "reversed":
-        return kl_divergence(g, p_hat_new)
-    raise LossError(f"unknown KL order {order!r}")
+    p = p_hat_new.clamp_min(PROB_EPS)
+    inner = p_hat_new * (p.log() - Tensor(np.log(g)))
+    return inner.sum() / _npix(g.shape)
+
+
+def distill_loss(p_s: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: int,
+                 lambda1: float, lambda2: float, lambda3: float):
+    """The distillation objective for one image: the uncertainty-weighted
+    old-task loss on the background-aligned student plus lambda3 times the
+    new-task loss. Returns (total, l_old, l_new)."""
+    l_old = loss_old(p_t, remap_old(p_s, num_old_organs), u, lambda1, lambda2)
+    l_new = loss_new(remap_new(p_s, num_old_organs), smoothed)
+    return l_old + lambda3 * l_new, l_old, l_new

@@ -147,21 +147,17 @@ def init_random(cfg: SegModelConfig, seed: int) -> SegModel:
 NEW_ROW_SCALE = 0.1  # keeps initial new-class logits small
 
 
-def extend_for_increment(teacher: SegModel, new_classes: int, seed: int,
-                         cold_start: bool = False) -> SegModel:
+def extend_for_increment(teacher: SegModel, new_classes: int, seed: int) -> SegModel:
     """Build a trainable student with `new_classes` extra output channels.
 
-    Warm start (default): hidden layers and old output rows copied from
-    the teacher; new rows drawn as in init_random, scaled down so the
-    student initially reproduces the teacher's argmax. `cold_start`
-    ignores the teacher weights entirely (ablation).
+    Hidden layers and old output rows are copied from the teacher; new
+    rows are drawn as in init_random, scaled down so the student initially
+    reproduces the teacher's argmax.
     """
     if new_classes < 0:
         raise ModelError("new_classes must be >= 0")
     cfg = replace(teacher.config, num_classes=teacher.config.num_classes + new_classes)
     student = init_random(cfg, seed)
-    if cold_start:
-        return student
     for i, (kern, bias) in enumerate(teacher.layers[:-1]):
         student.layers[i] = (Tensor(kern.data.copy()), Tensor(bias.data.copy()))
     t_kern, t_bias = teacher.layers[-1]

@@ -37,9 +37,6 @@ class TrainConfig:
     ensemble_size: int = 6  # Q perturbed teacher passes per image
     uncertainty_mode: str = "as-paper"  # or normalized / confidence / off
     smooth_fg: float = 0.7
-    new_task_kl_order: str = "as-paper"
-    cold_start: bool = False
-    cache_uncertainty: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -155,9 +152,47 @@ def evaluate(model: segnet.SegModel, samples, organs, cfg=None) -> EvalReport:
     )
 
 
-def _batches(indices, batch_size):
-    for i in range(0, len(indices), batch_size):
-        yield indices[i:i + batch_size]
+def _fit(model: segnet.SegModel, n: int, epochs: int, rng: np.random.Generator,
+         cfg: TrainConfig, sample_loss, loss_name: str, log_rows: list | None,
+         log_dice, phase: str) -> None:
+    """Minibatch Adam on `model` over samples 0..n-1.
+
+    Each epoch shuffles the sample order with `rng`. A minibatch's loss is
+    the mean of `sample_loss(idx)` terms; `sample_loss` returns (loss,
+    dict of floats to log). With `log_rows`, each epoch appends one row:
+    the mean batch loss under `loss_name`, the mean of each logged float,
+    then the columns `log_dice()` returns.
+    """
+    opt = Adam(model.parameters(), cfg.learning_rate, cfg.weight_decay)
+    order = np.arange(n)
+    for epoch in range(epochs):
+        rng.shuffle(order)
+        sums = {loss_name: 0.0}
+        n_batches = 0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            opt.zero_grad()
+            total = None
+            logged = {}
+            for idx in batch:
+                term, values = sample_loss(idx)
+                total = term if total is None else total + term
+                for key, v in values.items():
+                    logged[key] = logged.get(key, 0.0) + v
+            total = total / float(len(batch))
+            if not np.isfinite(total.data):
+                raise TrainError(f"{phase} loss diverged at epoch {epoch}")
+            backward(total)
+            opt.step()
+            sums[loss_name] += float(total.data)
+            for key, v in logged.items():
+                sums[key] = sums.get(key, 0.0) + v / len(batch)
+            n_batches += 1
+        if log_rows is not None:
+            row = {"epoch": epoch}
+            row.update({key: v / n_batches for key, v in sums.items()})
+            row.update(log_dice())
+            log_rows.append(row)
 
 
 def train_teacher(samples, num_organs: int, cfg: TrainConfig,
@@ -170,34 +205,20 @@ def train_teacher(samples, num_organs: int, cfg: TrainConfig,
         if s.labels.max() > num_organs:
             raise TrainError("teacher dataset contains labels above K")
     model = segnet.init_random(model_cfg, cfg.seed)
-    opt = Adam(model.parameters(), cfg.learning_rate, cfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 1))))
-    order = np.arange(len(samples))
     organs = list(range(1, num_organs + 1))
-    for epoch in range(cfg.teacher_epochs):
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        n_batches = 0
-        for batch in _batches(order, cfg.batch_size):
-            opt.zero_grad()
-            total = None
-            for idx in batch:
-                s = samples[idx]
-                probs = losses.softmax_channels(model.forward(Tensor(s.image)))
-                term = losses.cross_entropy_hard(s.labels, probs)
-                total = term if total is None else total + term
-            total = total / float(len(batch))
-            if not np.isfinite(total.data):
-                raise TrainError(f"teacher loss diverged at epoch {epoch}")
-            backward(total)
-            opt.step()
-            epoch_loss += float(total.data)
-            n_batches += 1
-        if log_rows is not None:
-            row = {"epoch": epoch, "loss": epoch_loss / n_batches}
-            row.update({f"dice_organ{k}": v
-                        for k, v in evaluate(model, samples, organs).per_organ.items()})
-            log_rows.append(row)
+
+    def sample_loss(idx):
+        s = samples[idx]
+        probs = losses.softmax_channels(model.forward(Tensor(s.image)))
+        return losses.cross_entropy_hard(s.labels, probs), {}
+
+    def log_dice():
+        return {f"dice_organ{k}": v
+                for k, v in evaluate(model, samples, organs).per_organ.items()}
+
+    _fit(model, len(samples), cfg.teacher_epochs, rng, cfg, sample_loss, "loss",
+         log_rows, log_dice, "teacher")
     model.freeze()
     return model
 
@@ -218,75 +239,37 @@ def distill_incremental(teacher: segnet.SegModel, new_samples, cfg: TrainConfig,
     k_old = teacher.config.num_classes - 1
     digest_before = teacher.weights_digest()
 
-    student = segnet.extend_for_increment(teacher, 1, cfg.seed, cold_start=cfg.cold_start)
-    opt = Adam(student.parameters(), cfg.learning_rate, cfg.weight_decay)
+    student = segnet.extend_for_increment(teacher, 1, cfg.seed)
+    # one stream feeds both the shuffle and the perturbation draws
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
-    order = np.arange(len(new_samples))
     smoothed = [losses.smooth_labels(s.labels, cfg.smooth_fg) for s in new_samples]
     # teacher is frozen, so its clean-image softmax per sample is a constant
-    t_logits = segnet.forward_batch_nograd(
-        teacher, np.stack([s.image for s in new_samples]))
-    e = np.exp(t_logits - t_logits.max(axis=1, keepdims=True))
-    teacher_probs = e / e.sum(axis=1, keepdims=True)
-    u_cache: dict = {}
+    teacher_probs = losses.softmax(segnet.forward_batch_nograd(
+        teacher, np.stack([s.image for s in new_samples])))
 
-    def weight_map(idx, s):
+    def sample_loss(idx):
+        s = new_samples[idx]
         if cfg.uncertainty_mode == "off":
-            return np.ones_like(s.labels, dtype=np.float64), 0.0
-        if cfg.cache_uncertainty and idx in u_cache:
-            return u_cache[idx]
-        umap = uncertainty.uncertainty_map(teacher, s.image, cfg.ensemble_size, rng, pool)
-        w = uncertainty.weight_from_uncertainty(umap, cfg.uncertainty_mode)
-        entry = (w, float(umap.values.mean()))
-        if cfg.cache_uncertainty:
-            u_cache[idx] = entry
-        return entry
+            u, mean_u = np.ones_like(s.labels, dtype=np.float64), 1.0
+        else:
+            umap = uncertainty.uncertainty_map(teacher, s.image, cfg.ensemble_size,
+                                               rng, pool)
+            u = uncertainty.weight_from_uncertainty(umap, cfg.uncertainty_mode)
+            mean_u = float(umap.values.mean())
+        p_s = losses.softmax_channels(student.forward(Tensor(s.image)))
+        total, l_old, l_new = losses.distill_loss(
+            p_s, teacher_probs[idx], u, smoothed[idx], k_old,
+            cfg.lambda1, cfg.lambda2, cfg.lambda3)
+        return total, {"loss_old": float(l_old.data), "loss_new": float(l_new.data),
+                       "mean_u": mean_u}
 
-    for epoch in range(cfg.distill_epochs):
-        rng.shuffle(order)
-        sums = {"total": 0.0, "old": 0.0, "new": 0.0, "u": 0.0}
-        n_batches = 0
-        for batch in _batches(order, cfg.batch_size):
-            opt.zero_grad()
-            l_old_acc = l_new_acc = u_acc = 0.0
-            batch_loss = None
-            for idx in batch:
-                s = new_samples[idx]
-                u, mean_u = weight_map(idx, s)
-                p_t = teacher_probs[idx]
-                p_s = losses.softmax_channels(student.forward(Tensor(s.image)))
-                l_old = losses.loss_old(p_t, losses.remap_old(p_s, k_old), u,
-                                        cfg.lambda1, cfg.lambda2)
-                l_new = losses.loss_new(losses.remap_new(p_s, k_old), smoothed[idx],
-                                        cfg.new_task_kl_order)
-                term = l_old + cfg.lambda3 * l_new
-                batch_loss = term if batch_loss is None else batch_loss + term
-                l_old_acc += float(l_old.data)
-                l_new_acc += float(l_new.data)
-                u_acc += mean_u if cfg.uncertainty_mode != "off" else float(u.mean())
-            batch_loss = batch_loss / float(len(batch))
-            if not np.isfinite(batch_loss.data):
-                raise TrainError(f"distillation loss diverged at epoch {epoch}")
-            backward(batch_loss)
-            opt.step()
-            sums["total"] += float(batch_loss.data)
-            sums["old"] += l_old_acc / len(batch)
-            sums["new"] += l_new_acc / len(batch)
-            sums["u"] += u_acc / len(batch)
-            n_batches += 1
-        if log_rows is not None:
-            row = {
-                "epoch": epoch,
-                "loss_total": sums["total"] / n_batches,
-                "loss_old": sums["old"] / n_batches,
-                "loss_new": sums["new"] / n_batches,
-                "mean_u": sums["u"] / n_batches,
-            }
-            new_dice = [dice(predict_labels(student, s.image) == k_old + 1, s.labels == 1)
-                        for s in new_samples]
-            row[f"dice_organ{k_old + 1}"] = float(np.mean(new_dice))
-            log_rows.append(row)
+    def log_dice():
+        new_dice = [dice(predict_labels(student, s.image) == k_old + 1, s.labels == 1)
+                    for s in new_samples]
+        return {f"dice_organ{k_old + 1}": float(np.mean(new_dice))}
 
+    _fit(student, len(new_samples), cfg.distill_epochs, rng, cfg, sample_loss,
+         "loss_total", log_rows, log_dice, "distillation")
     if teacher.weights_digest() != digest_before:
         raise TrainError("teacher weights changed during distillation")
     return student

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from . import losses
 from .autodiff import Tensor
 from .segnet import forward_batch_nograd
 
@@ -136,11 +137,7 @@ def uncertainty_map(teacher, image: np.ndarray, q: int,
     img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     copies = np.stack([apply_perturbation(img, sample_perturbation(rng, pool), rng)
                        for _ in range(q)])
-    logits = forward_batch_nograd(teacher, copies)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    mean = probs.mean(axis=0)
+    mean = losses.softmax(forward_batch_nograd(teacher, copies)).mean(axis=0)
     return UncertaintyMap(entropy_map(mean), num_classes=teacher.config.num_classes)
 
 

@@ -101,42 +101,6 @@ class TestCrossEntropy:
             losses.cross_entropy_hard(np.array([[5]]), Tensor(np.ones((2, 1, 1)) / 2))
 
 
-class TestKdReference:
-    def _setup(self, seed=4):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        labels = rng.integers(0, 3, (3, 3))
-        p_t = random_probmap(rng, 3, 3, 3)
-        p_s = Tensor(random_probmap(rng, 3, 3, 3))
-        return labels, p_t, p_s
-
-    def test_alpha_zero_is_cross_entropy(self):
-        labels, p_t, p_s = self._setup()
-        a = float(losses.kd_loss_reference(labels, p_t, p_s, 0.0).data)
-        b = float(losses.cross_entropy_hard(labels, p_s).data)
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_alpha_one_is_kl(self):
-        labels, p_t, p_s = self._setup()
-        a = float(losses.kd_loss_reference(labels, p_t, p_s, 1.0).data)
-        b = float(losses.kl_divergence(p_t, p_s).data)
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_affine_in_alpha(self):
-        labels, p_t, p_s = self._setup()
-        l0 = float(losses.kd_loss_reference(labels, p_t, p_s, 0.0).data)
-        l1 = float(losses.kd_loss_reference(labels, p_t, p_s, 1.0).data)
-        lh = float(losses.kd_loss_reference(labels, p_t, p_s, 0.5).data)
-        assert lh == pytest.approx(0.5 * l0 + 0.5 * l1, abs=1e-12)
-
-    def test_channel_mismatch_is_an_error(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        labels = np.zeros((2, 2), dtype=int)
-        p_t = random_probmap(rng, 3, 2, 2)       # K+1 channels
-        p_s = Tensor(random_probmap(rng, 4, 2, 2))  # K+2 channels
-        with pytest.raises(losses.LossError):
-            losses.kd_loss_reference(labels, p_t, p_s, 0.5)
-
-
 class TestRemaps:
     def test_remap_old_pixel_arithmetic(self):
         p = Tensor(np.array([0.1, 0.4, 0.3, 0.2]).reshape(4, 1, 1))
@@ -264,29 +228,15 @@ class TestLossNew:
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(0.338919, abs=1e-6)
 
-    @pytest.mark.parametrize("order", ["as-paper", "reversed"])
-    def test_gradient_matches_fd(self, order):
+    def test_gradient_matches_fd(self):
         from test_autodiff import finite_diff, rel_err
         rng = np.random.Generator(np.random.PCG64(9))
         g = losses.smooth_labels(rng.integers(0, 2, (3, 3)))
         p = Tensor(random_probmap(rng, 2, 3, 3), requires_grad=True)
 
         def fval():
-            return float(losses.loss_new(Tensor(p.data), g, order).data)
+            return float(losses.loss_new(Tensor(p.data), g).data)
 
-        backward(losses.loss_new(p, g, order))
+        backward(losses.loss_new(p, g))
         fd = finite_diff(fval, p.data)
         assert rel_err(p.grad, fd).max() < 1e-4
-
-    def test_orders_differ(self):
-        rng = np.random.Generator(np.random.PCG64(10))
-        g = losses.smooth_labels(rng.integers(0, 2, (3, 3)))
-        p = Tensor(random_probmap(rng, 2, 3, 3))
-        a = float(losses.loss_new(p, g, "as-paper").data)
-        b = float(losses.loss_new(p, g, "reversed").data)
-        assert a != pytest.approx(b, abs=1e-6)
-
-    def test_unknown_order(self):
-        with pytest.raises(losses.LossError):
-            losses.loss_new(Tensor(np.ones((2, 1, 1)) / 2), np.ones((2, 1, 1)) / 2,
-                            "bogus")
