@@ -48,33 +48,48 @@ def handle_errors(fn):
 
 
 class OutputLock:
-    """Guards an output directory against concurrent invocations."""
+    """Guards an output directory against concurrent invocations. A lock
+    left by a process that no longer exists is replaced."""
 
     def __init__(self, out_dir: Path):
         self.path = Path(out_dir) / ".lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(f"output directory is locked by {self.path}; "
-                              "remove the stale lockfile if no other run is active")
+        while True:
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if not self._holder_is_dead():
+                    raise ConfigError(
+                        f"output directory is locked by {self.path}; remove the "
+                        "stale lockfile if no other run is active") from None
+                self.path.unlink(missing_ok=True)
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
+
+    def _holder_is_dead(self) -> bool:
+        """True only if the lock names a pid that no longer exists. An empty
+        or unparsable lock may be a run that has not written its pid yet,
+        and a pid we may not signal exists, so both count as held."""
+        try:
+            pid = int(self.path.read_text())
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid > 0
+        except (OSError, ValueError, OverflowError):
+            return False
+        return False
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
 
 
-def _load_cfg(config_path, seed, out) -> ExperimentConfig:
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if out is not None:
-        overrides["out_dir"] = out
-    return load_experiment(config_path, overrides)
+def _load_cfg(config_path, seed, out, **overrides) -> ExperimentConfig:
+    # load_experiment drops the overrides that are None
+    return load_experiment(config_path, {"seed": seed, "out_dir": out, **overrides})
 
 
 def _write_csv(path, rows, fieldnames=None):
@@ -138,7 +153,8 @@ def main():
 @handle_errors
 def generate(config_path, seed, out):
     """Generate the phantom dataset tree plus manifest."""
-    cfg = _load_cfg(config_path, seed, out)
+    # the dataset needs no train settings; the commands that train check them
+    cfg = _load_cfg(config_path, seed, out, train={})
     samples = phantom.generate_dataset(cfg.phantom, cfg.num_samples)
     with OutputLock(Path(cfg.out_dir)):
         phantom.write_dataset(_dataset_dir(cfg), cfg.phantom, samples)

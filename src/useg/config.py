@@ -47,13 +47,25 @@ class ExperimentConfig:
             raise ConfigError("scenario.new_organ exceeds phantom.num_organs")
 
 
+# JSON types accepted for a field, by its annotation; a tuple field is a list
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "tuple": (list,)}
+
+
+def _check_type(name: str, value, annotation: str):
+    accepted = _JSON_TYPES[annotation]
+    # bool is an int subclass, but `true` is not a number
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name}: expected {annotation}, got {json.dumps(value)}")
+
+
 def _build(cls, payload: dict, prefix: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{prefix}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in payload:
-        if key not in names:
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in payload.items():
+        if key not in fields:
             raise ConfigError(f"{prefix}.{key}: unknown field")
+        _check_type(f"{prefix}.{key}", value, fields[key])
     fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     try:
         return cls(**fixed)
@@ -76,8 +88,9 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
     seed = doc["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError("seed: must be an integer (wall-clock seeding is not allowed)")
+    _check_type("seed", seed, "int")
+    num_samples = doc.get("num_samples", 100)
+    _check_type("num_samples", num_samples, "int")
 
     phantom_doc = dict(doc.get("phantom", {}))
     phantom_doc.setdefault("seed", seed)
@@ -92,7 +105,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         scenario=_build(Scenario, doc["scenario"], "scenario"),
         pool=_build(PoolConfig, doc.get("pool", {}), "pool"),
         model=model,
-        num_samples=doc.get("num_samples", 100),
+        num_samples=num_samples,
         out_dir=str(doc["out_dir"]),
         seed=seed,
     )

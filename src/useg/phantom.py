@@ -227,9 +227,23 @@ def read_manifest(root) -> dict:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise PhantomError(f"corrupt manifest at {path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise PhantomError(f"manifest at {path} is not an object")
     for key in ("phantom", "num_samples", "train_indices", "test_indices"):
         if key not in manifest:
             raise PhantomError(f"manifest missing key {key!r}")
+    n = manifest["num_samples"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise PhantomError(f"manifest num_samples must be a positive integer, got {n!r}")
+    if not isinstance(manifest["phantom"], dict):
+        raise PhantomError("manifest phantom must be an object")
+    split = [manifest["train_indices"], manifest["test_indices"]]
+    if not all(isinstance(part, list) and all(
+            isinstance(i, int) and not isinstance(i, bool) for i in part) for part in split):
+        raise PhantomError("manifest train/test indices must be lists of integers")
+    if sorted(split[0] + split[1]) != list(range(n)):
+        raise PhantomError(f"manifest train and test indices must be disjoint and "
+                           f"cover samples 0..{n - 1} exactly")
     return manifest
 
 

@@ -1,4 +1,5 @@
-"""Training loops: teacher pretraining, incremental distillation, metrics.
+"""Training: one minibatch loop for teacher pretraining and incremental
+distillation, and the metrics.
 
 The distillation objective per pixel is
     u * [l1 * H(argmax p_t, p_old) + l2 * KL(p_t || p_old)] + l3 * KL_new

@@ -131,16 +131,22 @@ def desk_runs():
         tcfg = trainer.TrainConfig(seed=seed)
 
         teach = [phantom.to_first_k_organs(samples[i], 2, 3) for i in train_idx]
+        t = time.time()
         teacher = trainer.train_teacher(teach, 2, tcfg)
+        phase_s = {"teacher": time.time() - t}
         teacher_rep = trainer.evaluate(teacher, test, [1, 2])
 
         new = [phantom.to_single_organ(samples[i], 3, 3) for i in train_idx]
+        t = time.time()
         student = trainer.distill_incremental(teacher, new, tcfg)
+        phase_s["distill"] = time.time() - t
         student_rep = trainer.evaluate(student, test, [1, 2, 3])
 
         ctrl_cfg = dataclasses.replace(tcfg, lambda1=0.0, lambda2=0.0,
                                        uncertainty_mode="off")
+        t = time.time()
         control = trainer.distill_incremental(teacher, new, ctrl_cfg)
+        phase_s["control"] = time.time() - t
         control_rep = trainer.evaluate(control, test, [1, 2, 3])
 
         elapsed += time.time() - t0
@@ -150,6 +156,7 @@ def desk_runs():
             "student_new": student_rep.per_organ[3],
             "control_old": (control_rep.per_organ[1] + control_rep.per_organ[2]) / 2,
             "control_new": control_rep.per_organ[3],
+            "phase_s": phase_s,
         }
         if seed == SEEDS[0]:
             # extra run for the uncertainty ablation; not part of the
@@ -198,7 +205,10 @@ def test_criterion_5d_catastrophic_forgetting_control(desk_runs):
 
 def test_criterion_5_runtime(desk_runs):
     elapsed = desk_runs["elapsed"]
-    report("5 runtime <= 10 min", elapsed <= 600.0, f"({elapsed:.0f}s)")
+    phases = "; ".join(
+        f"seed {s} " + " ".join(f"{k} {v:.0f}s" for k, v in desk_runs[s]["phase_s"].items())
+        for s in SEEDS)
+    report("5 runtime <= 10 min", elapsed <= 600.0, f"({elapsed:.0f}s: {phases})")
 
 
 def test_criterion_6_ablation_direction(desk_runs):

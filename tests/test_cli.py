@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +78,79 @@ class TestGenerate:
         assert "bogus_field" in result.output
 
     def test_lockfile_guard(self, runner, tmp_path):
+        # a lock held by a live process (this one) refuses
         cfg_path, out = make_config(tmp_path)
         out.mkdir(parents=True)
-        (out / ".lock").write_text("123")
+        (out / ".lock").write_text(str(os.getpid()))
         result = runner.invoke(main, ["generate", "--config", str(cfg_path)])
         assert result.exit_code == 1
         assert "lock" in result.output
+
+    def test_empty_lockfile_refuses(self, runner, tmp_path):
+        # a run may have created its lock but not yet written its pid
+        cfg_path, out = make_config(tmp_path)
+        out.mkdir(parents=True)
+        (out / ".lock").write_text("")
+        result = runner.invoke(main, ["generate", "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert "lock" in result.output
+
+    def test_lock_of_exited_process_is_replaced(self, runner, tmp_path):
+        cfg_path, out = make_config(tmp_path)
+        out.mkdir(parents=True)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        (out / ".lock").write_text(str(child.pid))
+        result = runner.invoke(main, ["generate", "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        assert (out / "dataset" / "manifest.json").exists()
+        assert not (out / ".lock").exists()
+
+
+def assert_refused(result, out, tree_before):
+    """Exit 1 with an `error:` line, no traceback, output tree untouched."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert any(line.startswith("error:") for line in result.stderr.splitlines())
+    tree_after = read_tree_bytes(out) if out.exists() else {}
+    assert tree_after == tree_before
+
+
+class TestMalformedInput:
+    def test_num_samples_string(self, runner, tmp_path):
+        cfg_path, out = make_config(tmp_path, num_samples="7")
+        result = runner.invoke(main, ["generate", "--config", str(cfg_path)])
+        assert_refused(result, out, {})
+        assert "num_samples" in result.stderr
+
+    def test_generate_does_not_read_train_section(self, runner, tmp_path):
+        cfg_path, out = make_config(tmp_path, train={"batch_size": 1.5})
+        result = runner.invoke(main, ["generate", "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert_refused(result, out, read_tree_bytes(out))
+
+    def test_fractional_batch_size(self, runner, generated):
+        cfg_path, out = generated
+        doc = json.loads(cfg_path.read_text())
+        doc["train"]["batch_size"] = 1.5
+        cfg_path.write_text(json.dumps(doc))
+        before = read_tree_bytes(out)
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert_refused(result, out, before)
+        assert "train.batch_size" in result.stderr
+
+    def test_test_index_out_of_range(self, runner, generated):
+        cfg_path, out = generated
+        manifest = out / "dataset" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["test_indices"].append(doc["num_samples"])
+        manifest.write_text(json.dumps(doc))
+        before = read_tree_bytes(out)
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert_refused(result, out, before)
+        assert "manifest" in result.stderr
 
 
 @pytest.fixture()

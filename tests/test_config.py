@@ -1,0 +1,41 @@
+import pytest
+
+from useg.config import ConfigError, parse_experiment
+
+BASE = {"seed": 0, "out_dir": "run", "scenario": {"teacher_organs": 2, "new_organ": 3}}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "batch_size", 1.5),
+    ("train", "batch_size", True),
+    ("train", "teacher_epochs", "3"),
+    ("train", "learning_rate", True),
+    ("train", "learning_rate", "1e-3"),
+    ("train", "uncertainty_mode", 1),
+    ("phantom", "radius_range", "2.5"),
+    ("model", "hidden", 8),
+    ("scenario", "new_organ", 3.0),
+])
+def test_field_type_rejected(section, key, value):
+    doc = {**BASE, section: {**BASE.get(section, {}), key: value}}
+    with pytest.raises(ConfigError, match=f"{section}.{key}: expected"):
+        parse_experiment(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", True), ("seed", 1.0), ("num_samples", "7"), ("num_samples", False)])
+def test_top_level_type_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key}: expected int"):
+        parse_experiment({**BASE, key: value})
+
+
+def test_float_field_accepts_int_and_tuple_field_accepts_list():
+    cfg = parse_experiment({**BASE, "train": {"learning_rate": 1},
+                            "pool": {"contrast_range": [0.8, 1.2]}})
+    assert cfg.train.learning_rate == 1
+    assert cfg.pool.contrast_range == (0.8, 1.2)
+
+
+def test_unknown_top_level_field():
+    with pytest.raises(ConfigError, match="extra: unknown field"):
+        parse_experiment({**BASE, "extra": 1})

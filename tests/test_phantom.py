@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -180,4 +182,21 @@ class TestDatasetIO:
     def test_corrupt_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(PhantomError):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("change", [
+        {"num_samples": 0}, {"num_samples": True}, {"num_samples": "5"},
+        {"test_indices": [4, 5]},           # out of range
+        {"test_indices": [3, 4]},           # overlaps train
+        {"train_indices": [0, 1, 2]},       # sample 3 in neither split
+        {"test_indices": [3.0, 4]},         # not an integer
+        {"train_indices": "0123"},
+        {"phantom": []},
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, change):
+        cfg = PhantomConfig(seed=5)
+        write_dataset(tmp_path, cfg, generate_dataset(cfg, 5))
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps({**doc, **change}))
+        with pytest.raises(PhantomError, match="manifest"):
             load_dataset(tmp_path)

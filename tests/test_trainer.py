@@ -248,15 +248,28 @@ class TestDistill:
         assert float(total.data) == pytest.approx(float(kl.data) + float(ln.data),
                                                   abs=1e-12)
 
-    def test_uncertainty_off_means_unit_weights(self, distill_setup):
+    def test_uncertainty_off_means_unit_weights(self, distill_setup, monkeypatch):
+        # mode off computes no uncertainty map and weights every pixel by 1
         teacher, new, _ = distill_setup
-        # mode off must behave exactly like confidence weighting on a
-        # zero-entropy map: u == 1 everywhere; check via determinism of
-        # the resulting student against a manual run
-        cfg = quick_cfg(distill_epochs=2, uncertainty_mode="off")
-        a = trainer.distill_incremental(teacher, new, cfg)
-        b = trainer.distill_incremental(teacher, new, cfg)
-        assert a.weights_digest() == b.weights_digest()
+
+        def no_map(*args, **kwargs):
+            raise AssertionError("mode off computed an uncertainty map")
+
+        weights = []
+        real_loss_old = losses.loss_old
+
+        def recording_loss_old(p_t, p_hat_old, u, *rest):
+            weights.append(u)
+            return real_loss_old(p_t, p_hat_old, u, *rest)
+
+        monkeypatch.setattr(uncertainty, "uncertainty_map", no_map)
+        monkeypatch.setattr(losses, "loss_old", recording_loss_old)
+        rows = []
+        trainer.distill_incremental(teacher, new, quick_cfg(
+            distill_epochs=2, uncertainty_mode="off"), log_rows=rows)
+        assert len(weights) == 2 * len(new)
+        assert all(np.array_equal(u, np.ones(new[0].labels.shape)) for u in weights)
+        assert [r["mean_u"] for r in rows] == [1.0, 1.0]
 
 
 class TestConfigHash:
