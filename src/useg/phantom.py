@@ -251,8 +251,11 @@ def load_dataset(root) -> tuple:
     """Returns (cfg, samples with full labels, train_indices, test_indices)."""
     root = Path(root)
     manifest = read_manifest(root)
-    cfg = PhantomConfig(**{k: tuple(v) if isinstance(v, list) else v
-                           for k, v in manifest["phantom"].items()})
+    try:
+        cfg = PhantomConfig(**{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in manifest["phantom"].items()})
+    except TypeError as e:
+        raise PhantomError(f"manifest phantom section is invalid: {e}") from e
     samples = []
     for i in range(manifest["num_samples"]):
         image = image_from_pgm(root / "images" / f"{i}.pgm")

@@ -192,6 +192,8 @@ class TestDatasetIO:
         {"test_indices": [3.0, 4]},         # not an integer
         {"train_indices": "0123"},
         {"phantom": []},
+        {"phantom": {"bogus": 1}},
+        {"phantom": {"num_organs": "3"}},
     ])
     def test_malformed_manifest_rejected(self, tmp_path, change):
         cfg = PhantomConfig(seed=5)
