@@ -8,6 +8,7 @@ order, accumulating gradients additively across fan-out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -213,10 +214,12 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), x.requires_grad, (x,), bwd)
 
 
-def _taps(k: int, h: int, w: int):
+@functools.lru_cache(maxsize=64)
+def _taps(k: int, h: int, w: int) -> tuple:
     """Per tap (dy, dx) of a same-size k×k window over an H×W image: the
     output pixels whose source pixel lies inside the image, and those
-    source pixels, as index tuples over the trailing two axes."""
+    source pixels, as index tuples over the trailing two axes. Cached:
+    a model sees a handful of (k, H, W), and every conv call needs them."""
     pad = (k - 1) // 2
 
     def span(o, n):
@@ -224,11 +227,13 @@ def _taps(k: int, h: int, w: int):
         hi = max(lo, min(n, n - o))
         return slice(lo, hi), slice(lo + o, hi + o)
 
+    taps = []
     for dy in range(k):
         ys_out, ys_src = span(dy - pad, h)
         for dx in range(k):
             xs_out, xs_src = span(dx - pad, w)
-            yield dy, dx, (..., ys_out, xs_out), (..., ys_src, xs_src)
+            taps.append((dy, dx, (..., ys_out, xs_out), (..., ys_src, xs_src)))
+    return tuple(taps)
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
