@@ -313,9 +313,8 @@ def full_objective_gradcheck(seed: int, h: float = 1e-5):
     lam1, lam2, lam3 = 1.0, 20.0, 20.0
 
     def objective() -> Tensor:
-        p_s = losses.softmax_channels(student.forward(Tensor(image)))
-        return losses.distill_loss(p_s, teacher_probs, u, smoothed, k_old,
-                                   lam1, lam2, lam3)[0]
+        return losses.distill_loss(student.forward(Tensor(image)), teacher_probs, u,
+                                   smoothed, k_old, lam1, lam2, lam3)[0]
 
     loss = objective()
     backward(loss)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 
 PROB_EPS = 1e-12
 
@@ -80,28 +80,25 @@ def cross_entropy_hard(labels: np.ndarray, pred: Tensor) -> Tensor:
     return -(Tensor(onehot) * pred.clamp_min(PROB_EPS).log()).sum() / npix
 
 
-def remap_old(p_s: Tensor, num_old_organs: int) -> Tensor:
+def remap_old(p: np.ndarray, num_old_organs: int) -> np.ndarray:
     """Fold the new-organ channel into background: [K+2,H,W] -> [K+1,H,W].
 
     Channels 1..K are copied; channel 0 becomes 1 - sum(channels 1..K),
-    i.e. p_s(0) + p_s(K+1).
+    i.e. p(0) + p(K+1).
     """
     k = num_old_organs
-    if p_s.shape[0] != k + 2:
-        raise LossError(f"remap_old expects {k + 2} channels, got {p_s.shape[0]}")
-    organs = p_s.narrow(1, k)
-    bg = 1.0 - organs.sum(axis=0, keepdims=True)
-    return concat([bg, organs], axis=0)
+    if p.shape[0] != k + 2:
+        raise LossError(f"remap_old expects {k + 2} channels, got {p.shape[0]}")
+    organs = p[1:k + 1]
+    return np.concatenate([1.0 - organs.sum(axis=0, keepdims=True), organs])
 
 
-def remap_new(p_s: Tensor, num_old_organs: int) -> Tensor:
+def remap_new(p: np.ndarray, num_old_organs: int) -> np.ndarray:
     """Fold background and all old organs together: [K+2,H,W] -> [2,H,W]."""
     k = num_old_organs
-    if p_s.shape[0] != k + 2:
-        raise LossError(f"remap_new expects {k + 2} channels, got {p_s.shape[0]}")
-    bg = p_s.narrow(0, k + 1).sum(axis=0, keepdims=True)
-    new = p_s.narrow(k + 1, 1)
-    return concat([bg, new], axis=0)
+    if p.shape[0] != k + 2:
+        raise LossError(f"remap_new expects {k + 2} channels, got {p.shape[0]}")
+    return np.concatenate([p[:k + 1].sum(axis=0, keepdims=True), p[k + 1:k + 2]])
 
 
 def smooth_labels(hard: np.ndarray, fg: float = 0.7) -> np.ndarray:
@@ -116,49 +113,68 @@ def smooth_labels(hard: np.ndarray, fg: float = 0.7) -> np.ndarray:
     return out
 
 
-def loss_old(p_t, p_hat_old: Tensor, u: np.ndarray,
-             lambda1: float, lambda2: float) -> Tensor:
-    """Uncertainty-weighted old-task loss.
+def distill_loss(logits: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: int,
+                 lambda1: float, lambda2: float, lambda3: float):
+    """The distillation objective for one image, as one graph node.
 
-    Mean over pixels of u * [l1 * (-log p_hat_old[argmax p_t])
-                             + l2 * KL(p_t || p_hat_old)].
+    With p = softmax(logits), q_old = remap_old(p) and q_new = remap_new(p),
+    each clamped at PROB_EPS before its log, the loss is the mean over
+    pixels of
+        u * [l1 * -log q_old[argmax p_t] + l2 * KL(p_t || q_old)]
+        + l3 * KL(q_new, g)
+    (the new-task KL in the paper's literal prediction-first order, g the
+    smoothed labels). The backward is closed form: with g_p = dL/dp,
+    dL/dlogits = p * (g_p - <g_p, p>). When l1 = l2 = 0 the old-task term
+    is skipped and l_old is 0.0, which is what computing it would give.
+
+    Returns (total, l_old, l_new): a scalar Tensor and two floats.
     """
-    if lambda1 < 0 or lambda2 < 0:
+    if min(lambda1, lambda2, lambda3) < 0:
         raise LossError("loss weights must be nonnegative")
+    k = num_old_organs
+    p = softmax(logits.data)
+    q_new = remap_new(p, k)
     t = _as_array(p_t)
-    if t.shape != p_hat_old.shape:
-        raise LossError(f"loss_old shape mismatch: {t.shape} vs {p_hat_old.shape}")
+    g = _as_array(smoothed)
     u = np.asarray(u, dtype=np.float64)
+    if t.shape != (k + 1,) + p.shape[1:]:
+        raise LossError(f"loss_old shape mismatch: {t.shape} vs {(k + 1,) + p.shape[1:]}")
     if u.shape != t.shape[1:]:
         raise LossError(f"weight map shape {u.shape} does not match pixels {t.shape[1:]}")
     if (u < 0).any():
         raise LossError("negative uncertainty weights")
-
-    logp = p_hat_old.clamp_min(PROB_EPS).log()
-    hard = one_hot(t.argmax(axis=0), t.shape[0])
-    ce_map = -(Tensor(hard) * logp).sum(axis=0)                       # [H,W]
-    kl_map = Tensor(_xlogx(t).sum(axis=0)) - (Tensor(t) * logp).sum(axis=0)
-    return (Tensor(u) * (lambda1 * ce_map + lambda2 * kl_map)).sum() / u.size
-
-
-def loss_new(p_hat_new: Tensor, smoothed) -> Tensor:
-    """New-task loss against smoothed labels, in the paper's literal
-    prediction-first order KL(p_hat_new, g)."""
-    g = _as_array(smoothed)
-    if g.shape != p_hat_new.shape:
-        raise LossError(f"loss_new shape mismatch: {g.shape} vs {p_hat_new.shape}")
+    if g.shape != q_new.shape:
+        raise LossError(f"loss_new shape mismatch: {g.shape} vs {q_new.shape}")
     if (g <= 0).any():
         raise LossError("smoothed labels must be strictly positive")
-    p = p_hat_new.clamp_min(PROB_EPS)
-    inner = p_hat_new * (p.log() - Tensor(np.log(g)))
-    return inner.sum() / _npix(g.shape)
 
+    log_ratio = np.log(np.maximum(q_new, PROB_EPS)) - np.log(g)
+    npix = _npix(g.shape)
+    l_new = float((q_new * log_ratio).sum() / npix)
+    # dL/dp; the new-task background sums channels 0..K
+    d_new = lambda3 * (log_ratio + (q_new > PROB_EPS)) / npix
+    grad_p = np.empty_like(p)
+    grad_p[:k + 1] = d_new[0]
+    grad_p[k + 1] = d_new[1]
 
-def distill_loss(p_s: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: int,
-                 lambda1: float, lambda2: float, lambda3: float):
-    """The distillation objective for one image: the uncertainty-weighted
-    old-task loss on the background-aligned student plus lambda3 times the
-    new-task loss. Returns (total, l_old, l_new)."""
-    l_old = loss_old(p_t, remap_old(p_s, num_old_organs), u, lambda1, lambda2)
-    l_new = loss_new(remap_new(p_s, num_old_organs), smoothed)
-    return l_old + lambda3 * l_new, l_old, l_new
+    l_old = 0.0
+    if lambda1 or lambda2:
+        q_old = remap_old(p, k)
+        clamped = np.maximum(q_old, PROB_EPS)
+        logq = np.log(clamped)
+        hard = one_hot(t.argmax(axis=0), k + 1)
+        ce_map = -(hard * logq).sum(axis=0)
+        kl_map = _xlogx(t).sum(axis=0) - (t * logq).sum(axis=0)
+        l_old = float((u * (lambda1 * ce_map + lambda2 * kl_map)).sum() / u.size)
+        d_old = -(u / u.size) * (lambda1 * hard + lambda2 * t) * (q_old > PROB_EPS) / clamped
+        # the old background is 1 - sum(organs): each organ also moves it
+        grad_p[1:k + 1] += d_old[1:] - d_old[0]
+
+    dlogits = p * (grad_p - (grad_p * p).sum(axis=0, keepdims=True))
+
+    def bwd(out):
+        if logits.requires_grad:
+            logits.grad += out.grad * dlogits
+
+    total = Tensor(l_old + lambda3 * l_new, logits.requires_grad, (logits,), bwd)
+    return total, l_old, l_new

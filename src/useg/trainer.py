@@ -257,12 +257,10 @@ def distill_incremental(teacher: segnet.SegModel, new_samples, cfg: TrainConfig,
                                                rng, pool)
             u = uncertainty.weight_from_uncertainty(umap, cfg.uncertainty_mode)
             mean_u = float(umap.values.mean())
-        p_s = losses.softmax_channels(student.forward(Tensor(s.image)))
         total, l_old, l_new = losses.distill_loss(
-            p_s, teacher_probs[idx], u, smoothed[idx], k_old,
-            cfg.lambda1, cfg.lambda2, cfg.lambda3)
-        return total, {"loss_old": float(l_old.data), "loss_new": float(l_new.data),
-                       "mean_u": mean_u}
+            student.forward(Tensor(s.image)), teacher_probs[idx], u, smoothed[idx],
+            k_old, cfg.lambda1, cfg.lambda2, cfg.lambda3)
+        return total, {"loss_old": l_old, "loss_new": l_new, "mean_u": mean_u}
 
     def log_dice():
         new_dice = [dice(predict_labels(student, s.image) == k_old + 1, s.labels == 1)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import composed_losses as composed
 from useg import losses, phantom, segnet, trainer, uncertainty
 from useg.autodiff import Tensor, backward
 from useg.trainer import Adam, TrainConfig, TrainError, dice, evaluate
@@ -239,12 +240,11 @@ class TestDistill:
         student = segnet.extend_for_increment(teacher, 1, 3)
         u = np.ones_like(s.labels, dtype=float)
         p_t = losses.softmax_channels(teacher.forward(Tensor(s.image))).data
-        p_s = losses.softmax_channels(student.forward(Tensor(s.image)))
-        total = losses.loss_old(p_t, losses.remap_old(p_s, 1), u, 0.0, 1.0) \
-            + losses.loss_new(losses.remap_new(p_s, 1), losses.smooth_labels(s.labels))
+        total, _, _ = losses.distill_loss(student.forward(Tensor(s.image)), p_t, u,
+                                          losses.smooth_labels(s.labels), 1, 0.0, 1.0, 1.0)
         p_s2 = losses.softmax_channels(student.forward(Tensor(s.image)))
-        kl = losses.kl_divergence(p_t, losses.remap_old(p_s2, 1))
-        ln = losses.loss_new(losses.remap_new(p_s2, 1), losses.smooth_labels(s.labels))
+        kl = losses.kl_divergence(p_t, composed.remap_old(p_s2, 1))
+        ln = composed.loss_new(composed.remap_new(p_s2, 1), losses.smooth_labels(s.labels))
         assert float(total.data) == pytest.approx(float(kl.data) + float(ln.data),
                                                   abs=1e-12)
 
@@ -256,20 +256,36 @@ class TestDistill:
             raise AssertionError("mode off computed an uncertainty map")
 
         weights = []
-        real_loss_old = losses.loss_old
+        real_distill_loss = losses.distill_loss
 
-        def recording_loss_old(p_t, p_hat_old, u, *rest):
+        def recording_distill_loss(logits, p_t, u, *rest):
             weights.append(u)
-            return real_loss_old(p_t, p_hat_old, u, *rest)
+            return real_distill_loss(logits, p_t, u, *rest)
 
         monkeypatch.setattr(uncertainty, "uncertainty_map", no_map)
-        monkeypatch.setattr(losses, "loss_old", recording_loss_old)
+        monkeypatch.setattr(losses, "distill_loss", recording_distill_loss)
         rows = []
         trainer.distill_incremental(teacher, new, quick_cfg(
             distill_epochs=2, uncertainty_mode="off"), log_rows=rows)
         assert len(weights) == 2 * len(new)
         assert all(np.array_equal(u, np.ones(new[0].labels.shape)) for u in weights)
         assert [r["mean_u"] for r in rows] == [1.0, 1.0]
+
+    def test_control_skip_gives_same_weights(self, distill_setup):
+        # the control (l1 = l2 = 0) skips the old-task term; a zero weight
+        # that reads as true makes every step compute it, to the same bits
+        from test_losses import _ZeroNotFalse
+        teacher, new, _ = distill_setup
+        cfg = quick_cfg(distill_epochs=3, lambda1=0.0, lambda2=0.0,
+                        uncertainty_mode="off")
+        forced = dataclasses.replace(cfg, lambda1=_ZeroNotFalse(0.0),
+                                     lambda2=_ZeroNotFalse(0.0))
+        rows_skip, rows_forced = [], []
+        skip = trainer.distill_incremental(teacher, new, cfg, log_rows=rows_skip)
+        full = trainer.distill_incremental(teacher, new, forced, log_rows=rows_forced)
+        assert skip.weights_digest() == full.weights_digest()
+        assert rows_skip == rows_forced
+        assert [r["loss_old"] for r in rows_skip] == [0.0, 0.0, 0.0]
 
 
 class TestConfigHash:
