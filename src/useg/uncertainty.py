@@ -105,7 +105,8 @@ def apply_perturbation(image: np.ndarray, specs,
                     raise PerturbationError("gaussian_noise needs an rng")
                 x = x + rng.normal(0.0, spec.value, size=x.shape)
     x = np.clip(x, 0.0, 1.0)
-    assert x.shape == shape
+    if x.shape != shape:
+        raise PerturbationError(f"perturbation changed the image shape {shape} to {x.shape}")
     if not np.all(np.isfinite(x)):
         raise PerturbationError("perturbation produced non-finite values")
     return x

@@ -93,6 +93,13 @@ class TestApplyPerturbation:
             apply_perturbation(np.zeros((1, 2, 2)),
                                [PerturbationSpec("gaussian_noise", 0.1)])
 
+    def test_shape_change_raises(self, monkeypatch):
+        # a check that raises, not an assert, so it holds under python -O
+        monkeypatch.setattr(uncertainty, "_blur", lambda img, sigma: img[..., 1:, :])
+        with pytest.raises(PerturbationError, match="shape"):
+            apply_perturbation(np.zeros((1, 4, 4)),
+                               [PerturbationSpec("gaussian_blur", 1.0)])
+
 
 @pytest.fixture(scope="module")
 def tiny_teacher():
