@@ -138,13 +138,15 @@ def distill_loss(logits: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: i
     g = _as_array(smoothed)
     u = np.asarray(u, dtype=np.float64)
     if t.shape != (k + 1,) + p.shape[1:]:
-        raise LossError(f"loss_old shape mismatch: {t.shape} vs {(k + 1,) + p.shape[1:]}")
+        raise LossError(f"teacher probabilities {t.shape} do not match the old-task "
+                        f"remap {(k + 1,) + p.shape[1:]}")
     if u.shape != t.shape[1:]:
         raise LossError(f"weight map shape {u.shape} does not match pixels {t.shape[1:]}")
     if (u < 0).any():
         raise LossError("negative uncertainty weights")
     if g.shape != q_new.shape:
-        raise LossError(f"loss_new shape mismatch: {g.shape} vs {q_new.shape}")
+        raise LossError(f"smoothed labels {g.shape} do not match the new-task "
+                        f"remap {q_new.shape}")
     if (g <= 0).any():
         raise LossError("smoothed labels must be strictly positive")
 
