@@ -1,11 +1,7 @@
 """Data-free incremental organ segmentation on synthetic phantoms."""
 
-from .autodiff import Tensor, backward, concat, conv2d, relu
 from .segnet import SegModel, SegModelConfig
 
-__all__ = [
-    "Tensor", "backward", "concat", "conv2d", "relu",
-    "SegModel", "SegModelConfig",
-]
+__all__ = ["SegModel", "SegModelConfig"]
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import click
 import numpy as np
 
 from . import losses, phantom, segnet, trainer, uncertainty
-from .autodiff import AutodiffError, Tensor, backward
+from .autodiff import AutodiffError
 from .config import ConfigError, ExperimentConfig, load_experiment
 
 EXIT_VALIDATION = 1
@@ -93,13 +94,15 @@ def _load_cfg(config_path, seed, out, **overrides) -> ExperimentConfig:
 
 
 def _write_csv(path, rows, fieldnames=None):
+    """Write `rows` as CSV; the file appears whole or not at all."""
     rows = list(rows)
     if fieldnames is None:
         fieldnames = list(rows[0].keys()) if rows else []
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    segnet.write_atomic(path, buf.getvalue().encode())
 
 
 def _dataset_dir(cfg: ExperimentConfig) -> Path:
@@ -112,13 +115,6 @@ def _load_split(cfg: ExperimentConfig):
         raise ConfigError("dataset manifest does not match the phantom config; "
                           "regenerate the dataset")
     return samples, train_idx, test_idx
-
-
-def _teacher_model_cfg(cfg: ExperimentConfig) -> segnet.SegModelConfig:
-    if cfg.model is not None:
-        return dataclasses.replace(cfg.model,
-                                   num_classes=cfg.scenario.teacher_organs + 1)
-    return segnet.SegModelConfig(num_classes=cfg.scenario.teacher_organs + 1)
 
 
 def _print_dice_table(report: trainer.EvalReport, title: str):
@@ -174,7 +170,7 @@ def train_teacher_cmd(config_path, seed, out):
     log_rows: list = []
     with OutputLock(Path(cfg.out_dir)):
         teacher = trainer.train_teacher(train_samples, k, cfg.train,
-                                        model_cfg=_teacher_model_cfg(cfg),
+                                        model_cfg=cfg.model,
                                         log_rows=log_rows)
         out_dir = Path(cfg.out_dir)
         segnet.save(teacher, out_dir / "teacher.useg")
@@ -228,8 +224,8 @@ def distill(config_path, seed, out, teacher_path, uncertainty_mode):
         _write_csv(out_dir / "distill_log.csv", log_rows)
         report = trainer.evaluate(student, [samples[i] for i in test_idx],
                                   range(1, cfg.scenario.new_organ + 1), cfg)
-        (out_dir / "eval_report.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n")
+        segnet.write_atomic(out_dir / "eval_report.json",
+                            (json.dumps(report.to_dict(), indent=2) + "\n").encode())
         _write_csv(out_dir / "eval_report.csv",
                    [{"organ": k, "dice": v} for k, v in sorted(report.per_organ.items())]
                    + [{"organ": "mean", "dice": report.mean_dice}])
@@ -296,8 +292,9 @@ def evaluate(config_path, seed, out, weights_path):
 # -- gradient check -----------------------------------------------------------
 
 def full_objective_gradcheck(seed: int, h: float = 1e-5):
-    """Max relative error of autodiff vs central differences on the full
-    distillation objective of a tiny student model.
+    """Max relative error of the training step's gradient (`segnet.forward`,
+    `losses.distill_loss`, `segnet.backward`) vs central differences on the
+    full distillation objective of a tiny student model.
 
     Returns (max_rel_err, layer_index, param_index).
     """
@@ -312,12 +309,14 @@ def full_objective_gradcheck(seed: int, h: float = 1e-5):
     smoothed = losses.smooth_labels(hard)
     lam1, lam2, lam3 = 1.0, 20.0, 20.0
 
-    def objective() -> Tensor:
-        return losses.distill_loss(student.forward(Tensor(image)), teacher_probs, u,
-                                   smoothed, k_old, lam1, lam2, lam3)[0]
+    def objective():
+        logits, cache = segnet.forward(student, image[None])
+        total, dlogits, _, _ = losses.distill_loss(logits[0], teacher_probs, u, smoothed,
+                                                   k_old, lam1, lam2, lam3)
+        return total, dlogits[None], cache
 
-    loss = objective()
-    backward(loss)
+    _, dlogits, cache = objective()
+    segnet.backward(student, dlogits, cache)
     grads = [p.grad.copy() for p in student.parameters()]
 
     worst = (0.0, -1, -1)
@@ -327,9 +326,9 @@ def full_objective_gradcheck(seed: int, h: float = 1e-5):
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            f_plus = float(objective().data)
+            f_plus = objective()[0]
             flat[j] = orig - h
-            f_minus = float(objective().data)
+            f_minus = objective()[0]
             flat[j] = orig
             g_fd = (f_plus - f_minus) / (2 * h)
             rel = abs(g_ad[j] - g_fd) / max(1e-8, abs(g_ad[j]) + abs(g_fd))

@@ -35,7 +35,7 @@ class ExperimentConfig:
     train: TrainConfig
     scenario: Scenario
     pool: PoolConfig
-    model: SegModelConfig | None  # output classes derived per phase when None
+    model: SegModelConfig | None  # the teacher's; SegModelConfig's defaults when None
     num_samples: int
     out_dir: str
     seed: int
@@ -58,17 +58,20 @@ def _check_type(name: str, value, annotation: str):
         raise ConfigError(f"{name}: expected {annotation}, got {json.dumps(value)}")
 
 
-def _build(cls, payload: dict, prefix: str):
+def _build(cls, payload: dict, prefix: str, derived: dict | None = None):
+    """`cls` from a JSON object; the fields in `derived` are set from
+    elsewhere in the document, and the object may not name them."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{prefix}: expected an object")
+    derived = derived or {}
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     for key, value in payload.items():
-        if key not in fields:
+        if key not in fields or key in derived:
             raise ConfigError(f"{prefix}.{key}: unknown field")
         _check_type(f"{prefix}.{key}", value, fields[key])
     fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     try:
-        return cls(**fixed)
+        return cls(**fixed, **derived)
     except (TypeError, PhantomError, TrainError, PerturbationError, ModelError,
             ConfigError) as e:
         raise ConfigError(f"{prefix}: {e}") from e
@@ -96,13 +99,16 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     phantom_doc.setdefault("seed", seed)
     train_doc = dict(doc.get("train", {}))
     train_doc.setdefault("seed", seed)
+    scenario = _build(Scenario, doc["scenario"], "scenario")
     model = None
     if "model" in doc:
-        model = _build(SegModelConfig, doc["model"], "model")
+        # the teacher's classes follow from the scenario: K organs + background
+        model = _build(SegModelConfig, doc["model"], "model",
+                       derived={"num_classes": scenario.teacher_organs + 1})
     return ExperimentConfig(
         phantom=_build(PhantomConfig, phantom_doc, "phantom"),
         train=_build(TrainConfig, train_doc, "train"),
-        scenario=_build(Scenario, doc["scenario"], "scenario"),
+        scenario=scenario,
         pool=_build(PoolConfig, doc.get("pool", {}), "pool"),
         model=model,
         num_samples=num_samples,

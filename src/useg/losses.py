@@ -1,26 +1,23 @@
-"""Probability transforms and distillation loss terms.
+"""The two training heads on plain arrays, and the probability transforms.
 
-All losses reduce by mean over pixels so that the loss weights are
-resolution-independent. Probabilities are clamped at ``PROB_EPS`` before
-any log. Teacher/target probabilities are always detached; gradient flows
-only into the student prediction.
+Each head takes logits and returns the loss with its closed-form gradient
+with respect to the logits. All losses reduce by mean over pixels so that
+the loss weights are resolution-independent. Probabilities are clamped at
+``PROB_EPS`` before any log, and where a clamp is active no gradient flows
+through it. Teacher/target probabilities are constants; gradient flows
+only into the student prediction. The same losses composed from graph ops
+are the test oracle (`tests/composed_losses.py`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
-
 PROB_EPS = 1e-12
 
 
 class LossError(Exception):
     pass
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -42,42 +39,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-3, keepdims=True)
 
 
-def softmax_channels(logits: Tensor) -> Tensor:
-    """Per-pixel softmax over the channel axis of a [C,H,W] tensor."""
-    if logits.shape[0] < 2:
-        raise LossError(f"softmax needs at least 2 channels, got {logits.shape[0]}")
-    # constant shift: the gradient of logsumexp is shift-invariant
-    shift = logits.data.max(axis=0, keepdims=True)
-    e = (logits - Tensor(shift)).exp()
-    return e / e.sum(axis=0, keepdims=True)
-
-
-def kl_divergence(target, pred: Tensor) -> Tensor:
-    """Mean-per-pixel KL(target || pred); gradient flows into pred only."""
-    t = _as_array(target)
-    if t.shape != pred.shape:
-        raise LossError(f"KL shape mismatch: {t.shape} vs {pred.shape}")
-    npix = _npix(t.shape)
-    const = float(_xlogx(t).sum()) / npix
-    cross = (Tensor(t) * pred.clamp_min(PROB_EPS).log()).sum() / npix
-    return const - cross
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def one_hot(labels: np.ndarray, num_classes: int, axis: int = 0) -> np.ndarray:
+    """Float one-hot planes of integer labels, stacked along `axis`."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= num_classes:
         raise LossError(f"label out of range for {num_classes} classes")
-    out = np.zeros((num_classes,) + labels.shape)
-    for c in range(num_classes):
-        out[c] = labels == c
-    return out
+    return np.stack([labels == c for c in range(num_classes)], axis=axis).astype(np.float64)
 
 
-def cross_entropy_hard(labels: np.ndarray, pred: Tensor) -> Tensor:
-    """Mean over pixels of -log pred[label]."""
-    onehot = one_hot(labels, pred.shape[0])
-    npix = _npix(pred.shape)
-    return -(Tensor(onehot) * pred.clamp_min(PROB_EPS).log()).sum() / npix
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """The teacher head: mean over images and pixels of -log p[label], with
+    p the channel softmax of [N,C,H,W] logits and labels [N,H,W].
+
+    Returns (loss, dlogits). The gradient is (p - onehot) / (N·H·W), zero
+    on every channel of a pixel where p[label] <= PROB_EPS, since the clamp
+    there passes none.
+    """
+    n = len(logits)
+    p = softmax(logits)
+    onehot = one_hot(labels, logits.shape[1], axis=1)
+    logp = np.log(np.maximum(p, PROB_EPS))
+    npix = _npix(p.shape)
+    # per image, as a sum over channels and pixels, then the batch mean
+    loss = sum(-(onehot * logp).sum(axis=(1, 2, 3)) / npix) / n
+    live = (p * onehot).sum(axis=1, keepdims=True) > PROB_EPS
+    return float(loss), (p - onehot) * live / (n * npix)
 
 
 def remap_old(p: np.ndarray, num_old_organs: int) -> np.ndarray:
@@ -113,9 +99,9 @@ def smooth_labels(hard: np.ndarray, fg: float = 0.7) -> np.ndarray:
     return out
 
 
-def distill_loss(logits: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: int,
+def distill_loss(logits: np.ndarray, p_t, u: np.ndarray, smoothed, num_old_organs: int,
                  lambda1: float, lambda2: float, lambda3: float):
-    """The distillation objective for one image, as one graph node.
+    """The distillation head for one image's [K+2,H,W] logits.
 
     With p = softmax(logits), q_old = remap_old(p) and q_new = remap_new(p),
     each clamped at PROB_EPS before its log, the loss is the mean over
@@ -127,15 +113,16 @@ def distill_loss(logits: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: i
     dL/dlogits = p * (g_p - <g_p, p>). When l1 = l2 = 0 the old-task term
     is skipped and l_old is 0.0, which is what computing it would give.
 
-    Returns (total, l_old, l_new): a scalar Tensor and two floats.
+    Returns (total, dlogits, l_old, l_new): the loss, its gradient with
+    respect to the logits, and the two terms as floats.
     """
     if min(lambda1, lambda2, lambda3) < 0:
         raise LossError("loss weights must be nonnegative")
     k = num_old_organs
-    p = softmax(logits.data)
+    p = softmax(logits)
     q_new = remap_new(p, k)
-    t = _as_array(p_t)
-    g = _as_array(smoothed)
+    t = np.asarray(p_t, dtype=np.float64)
+    g = np.asarray(smoothed, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if t.shape != (k + 1,) + p.shape[1:]:
         raise LossError(f"teacher probabilities {t.shape} do not match the old-task "
@@ -153,11 +140,12 @@ def distill_loss(logits: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: i
     log_ratio = np.log(np.maximum(q_new, PROB_EPS)) - np.log(g)
     npix = _npix(g.shape)
     l_new = float((q_new * log_ratio).sum() / npix)
-    # dL/dp; the new-task background sums channels 0..K
+    # dL/dp; the new-task background sums channels 0..K. Added onto zeros,
+    # which turns -0.0 into 0.0 as adding a zero old-task term would.
     d_new = lambda3 * (log_ratio + (q_new > PROB_EPS)) / npix
-    grad_p = np.empty_like(p)
-    grad_p[:k + 1] = d_new[0]
-    grad_p[k + 1] = d_new[1]
+    grad_p = np.zeros_like(p)
+    grad_p[:k + 1] += d_new[0]
+    grad_p[k + 1] += d_new[1]
 
     l_old = 0.0
     if lambda1 or lambda2:
@@ -173,10 +161,4 @@ def distill_loss(logits: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: i
         grad_p[1:k + 1] += d_old[1:] - d_old[0]
 
     dlogits = p * (grad_p - (grad_p * p).sum(axis=0, keepdims=True))
-
-    def bwd(out):
-        if logits.requires_grad:
-            logits.grad += out.grad * dlogits
-
-    total = Tensor(l_old + lambda3 * l_new, logits.requires_grad, (logits,), bwd)
-    return total, l_old, l_new
+    return l_old + lambda3 * l_new, dlogits, l_old, l_new

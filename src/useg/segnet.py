@@ -8,12 +8,15 @@ rows for the new classes.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d, conv_forward, relu
+from .autodiff import Tensor, conv_backward, conv_forward
 
 MAGIC = b"USEG"
 VERSION = 1
@@ -58,72 +61,81 @@ class SegModelConfig:
 
 
 class SegModel:
-    def __init__(self, config: SegModelConfig, layers, frozen: bool = False):
-        expected = config.layer_shapes()
-        if len(layers) != len(expected):
-            raise ModelError("layer count does not match config")
-        for (kern, bias), (ks, bs) in zip(layers, expected):
-            if kern.shape != ks or bias.shape != bs:
-                raise ModelError(f"layer shape {kern.shape}/{bias.shape} != config {ks}/{bs}")
-        self.config = config
-        self.layers = list(layers)
-        self.frozen = frozen
-        self._set_requires_grad(not frozen)
+    """The weights of one model: a flat float64 parameter vector `flat`, a
+    flat gradient vector `grad` of the same size (None while frozen), and
+    per layer a (kernel, bias) pair of `Tensor`s whose `data` and `grad`
+    are views into them, in the order k0, b0, k1, b1, ..."""
 
-    def _set_requires_grad(self, flag: bool):
-        for kern, bias in self.layers:
-            for t in (kern, bias):
-                t.requires_grad = flag
-                t.grad = np.zeros_like(t.data) if flag else None
+    def __init__(self, config: SegModelConfig, flat: np.ndarray):
+        shapes = [s for pair in config.layer_shapes() for s in pair]
+        sizes = [int(np.prod(s)) for s in shapes]
+        if flat.shape != (sum(sizes),):
+            raise ModelError(f"{flat.shape} parameters do not match the config's "
+                             f"{sum(sizes)}")
+        self.config = config
+        self.flat = flat
+        self.grad = np.zeros_like(flat)
+        bounds = np.cumsum([0] + sizes)
+        params = [Tensor(flat[lo:hi].reshape(s), self.grad[lo:hi].reshape(s))
+                  for lo, hi, s in zip(bounds, bounds[1:], shapes)]
+        self.layers = list(zip(params[::2], params[1::2]))
+        self.frozen = False
 
     def freeze(self):
         self.frozen = True
-        self._set_requires_grad(False)
+        self.grad = None
+        for p in self.parameters():
+            p.grad = None
+            p.requires_grad = False
 
     def parameters(self):
         for kern, bias in self.layers:
             yield kern
             yield bias
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def weights_digest(self) -> bytes:
-        import hashlib
-        h = hashlib.sha256()
-        for p in self.parameters():
-            h.update(np.ascontiguousarray(p.data).tobytes())
-        return h.digest()
-
-    def forward(self, image: Tensor) -> Tensor:
-        """[Cin,H,W] image -> [C,H,W] logits; resolution preserved."""
-        if not isinstance(image, Tensor):
-            image = Tensor(image)
-        if image.data.ndim != 3 or image.shape[0] != self.config.in_channels:
-            raise ModelError(f"expected [{self.config.in_channels},H,W] input, got {image.shape}")
-        x = image
-        for kern, bias in self.layers[:-1]:
-            x = relu(conv2d(x, kern, bias))
-        kern, bias = self.layers[-1]
-        return conv2d(x, kern, bias)
+        return hashlib.sha256(self.flat.tobytes()).digest()
 
 
-def forward_batch_nograd(model: SegModel, images: np.ndarray) -> np.ndarray:
-    """Plain-numpy batched forward: [N,Cin,H,W] -> [N,C,H,W] logits.
+def forward(model: SegModel, x: np.ndarray, cache: bool = True):
+    """[N,Cin,H,W] images -> ([N,C,H,W] logits, cache for `backward`).
 
-    No graph is recorded; used for the perturbation-ensemble teacher
-    passes and for predictions, where gradients are never needed. Runs
-    the same conv core as `forward`, so it matches it per image.
+    Each hidden layer is conv then ReLU, the last a conv. The cache holds
+    each layer's input and the unfolded input `conv_forward` returned; a
+    hidden layer's ReLU mask is its output > 0, which is the next layer's
+    cached input > 0, so it is not stored. With `cache=False` (no gradient
+    needed) the cache is None and each layer's unfolded input is freed as
+    soon as the layer is done.
     """
-    x = np.asarray(images, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or x.shape[1] != model.config.in_channels:
         raise ModelError(f"expected [N,{model.config.in_channels},H,W], got {x.shape}")
+    kept = [] if cache else None
     last = len(model.layers) - 1
     for li, (kern, bias) in enumerate(model.layers):
-        x, _ = conv_forward(x, kern.data, bias.data)
-        if li < last:
-            x = np.maximum(x, 0.0)
-    return x
+        out, cols = conv_forward(x, kern.data, bias.data)
+        if cache:
+            kept.append((x, cols))
+        del cols
+        x = np.maximum(out, 0.0, out=out) if li < last else out
+    return x, kept
+
+
+def backward(model: SegModel, dlogits: np.ndarray, cache) -> None:
+    """Fill `model.grad` with the gradient of a loss whose gradient with
+    respect to the logits `forward` returned with `cache` is `dlogits`;
+    kernel and bias gradients are summed over the batch."""
+    if model.frozen:
+        raise ModelError("a frozen model has no gradients")
+    g = dlogits
+    for li in reversed(range(len(model.layers))):
+        kern, bias = model.layers[li]
+        x, cols = cache[li]
+        bias.grad[...] = g.sum(axis=(0, 2, 3))
+        gx, gk = conv_backward(g, x, kern.data, cols, li > 0, True)
+        kern.grad[...] = gk
+        if li > 0:
+            g = gx * (x > 0.0)  # ReLU: x is the previous layer's output
 
 
 def _glorot_bound(cin: int, cout: int, k: int) -> float:
@@ -135,13 +147,11 @@ def _glorot_bound(cin: int, cout: int, k: int) -> float:
 def init_random(cfg: SegModelConfig, seed: int) -> SegModel:
     """Glorot-uniform kernels, zero biases, deterministic per seed."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    layers = []
-    for (cout, cin, k, _), (bshape) in cfg.layer_shapes():
+    parts = []
+    for (cout, cin, k, _), bshape in cfg.layer_shapes():
         a = _glorot_bound(cin, cout, k)
-        kern = Tensor(rng.uniform(-a, a, size=(cout, cin, k, k)))
-        bias = Tensor(np.zeros(bshape))
-        layers.append((kern, bias))
-    return SegModel(cfg, layers)
+        parts += [rng.uniform(-a, a, size=(cout, cin, k, k)).ravel(), np.zeros(bshape)]
+    return SegModel(cfg, np.concatenate(parts))
 
 
 NEW_ROW_SCALE = 0.1  # keeps initial new-class logits small
@@ -158,33 +168,35 @@ def extend_for_increment(teacher: SegModel, new_classes: int, seed: int) -> SegM
         raise ModelError("new_classes must be >= 0")
     cfg = replace(teacher.config, num_classes=teacher.config.num_classes + new_classes)
     student = init_random(cfg, seed)
-    for i, (kern, bias) in enumerate(teacher.layers[:-1]):
-        student.layers[i] = (Tensor(kern.data.copy()), Tensor(bias.data.copy()))
-    t_kern, t_bias = teacher.layers[-1]
-    s_kern, s_bias = student.layers[-1]
-    old_c = teacher.config.num_classes
-    new_kern = s_kern.data.copy() * NEW_ROW_SCALE
-    new_bias = s_bias.data.copy() * NEW_ROW_SCALE
-    new_kern[:old_c] = t_kern.data
-    new_bias[:old_c] = t_bias.data
-    student.layers[-1] = (Tensor(new_kern), Tensor(new_bias))
-    student._set_requires_grad(True)
+    pairs = list(zip(teacher.parameters(), student.parameters()))
+    for t, s in pairs[:-2]:
+        s.data[...] = t.data
+    for t, s in pairs[-2:]:  # output kernel and bias
+        s.data *= NEW_ROW_SCALE
+        s.data[:teacher.config.num_classes] = t.data
     return student
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in the same directory
+    and `os.replace`: `path` holds either what it held before or all of
+    `data`, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save(model: SegModel, path) -> None:
     cfg = model.config
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", cfg.in_channels))
-        f.write(struct.pack("<I", len(cfg.hidden)))
-        for w in cfg.hidden:
-            f.write(struct.pack("<I", w))
-        f.write(struct.pack("<I", cfg.kernel_size))
-        f.write(struct.pack("<I", cfg.num_classes))
-        for p in model.parameters():
-            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    header = [VERSION, cfg.in_channels, len(cfg.hidden), *cfg.hidden,
+              cfg.kernel_size, cfg.num_classes]
+    write_atomic(path, MAGIC + b"".join(struct.pack("<I", v) for v in header)
+                 + model.flat.astype("<f8").tobytes())
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -211,12 +223,8 @@ def load(path) -> SegModel:
                                  hidden=hidden, kernel_size=k)
         except ModelError as e:
             raise ModelError(f"{path}: inconsistent config: {e}") from e
-        layers = []
-        for kshape, bshape in cfg.layer_shapes():
-            n = int(np.prod(kshape))
-            kern = np.frombuffer(_read_exact(f, n * 8), dtype="<f8").reshape(kshape)
-            bias = np.frombuffer(_read_exact(f, bshape[0] * 8), dtype="<f8")
-            layers.append((Tensor(kern.copy()), Tensor(bias.copy())))
+        n = sum(int(np.prod(s)) for pair in cfg.layer_shapes() for s in pair)
+        flat = np.frombuffer(_read_exact(f, n * 8), dtype="<f8").astype(np.float64)
         if f.read(1):
             raise ModelError(f"{path}: trailing bytes after weights")
-    return SegModel(cfg, layers)
+    return SegModel(cfg, flat)

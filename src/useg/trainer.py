@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, segnet, uncertainty
-from .autodiff import Tensor, backward
 
 
 class TrainError(Exception):
@@ -56,37 +55,37 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with decoupled weight decay; deterministic, float64."""
+    """Adam with decoupled weight decay on a flat float64 parameter vector
+    and its gradient vector, updated in place; deterministic."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params, lr: float, weight_decay: float = 0.0):
-        self.params = list(params)
+    def __init__(self, params: np.ndarray, grads: np.ndarray, lr: float,
+                 weight_decay: float = 0.0):
+        self.params = params
+        self.grads = grads
         self.lr = lr
         self.weight_decay = weight_decay
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
 
     def step(self):
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainError(f"non-finite gradient at step {self.t}")
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        p, g, m, v = self.params, self.grads, self.m, self.v
+        if not np.all(np.isfinite(g)):
+            raise TrainError(f"non-finite gradient at step {self.t}")
+        if self.weight_decay:
+            p -= self.lr * self.weight_decay * p
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        m_hat = m / (1 - self.beta1 ** self.t)
+        v_hat = v / (1 - self.beta2 ** self.t)
+        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -129,8 +128,7 @@ def config_hash(cfg) -> str:
 
 
 def predict_labels(model: segnet.SegModel, image: np.ndarray) -> np.ndarray:
-    image = image.data if isinstance(image, Tensor) else np.asarray(image)
-    return segnet.forward_batch_nograd(model, image[None])[0].argmax(axis=0)
+    return segnet.forward(model, np.asarray(image)[None], cache=False)[0][0].argmax(axis=0)
 
 
 def evaluate(model: segnet.SegModel, samples, organs, cfg=None) -> EvalReport:
@@ -153,41 +151,36 @@ def evaluate(model: segnet.SegModel, samples, organs, cfg=None) -> EvalReport:
     )
 
 
-def _fit(model: segnet.SegModel, n: int, epochs: int, rng: np.random.Generator,
-         cfg: TrainConfig, sample_loss, loss_name: str, log_rows: list | None,
-         log_dice, phase: str) -> None:
-    """Minibatch Adam on `model` over samples 0..n-1.
+def _fit(model: segnet.SegModel, images: np.ndarray, epochs: int,
+         rng: np.random.Generator, cfg: TrainConfig, head, loss_name: str,
+         log_rows: list | None, log_dice, phase: str) -> None:
+    """Minibatch Adam on `model` over the [N,Cin,H,W] `images`.
 
-    Each epoch shuffles the sample order with `rng`. A minibatch's loss is
-    the mean of `sample_loss(idx)` terms; `sample_loss` returns (loss,
-    dict of floats to log). With `log_rows`, each epoch appends one row:
-    the mean batch loss under `loss_name`, the mean of each logged float,
-    then the columns `log_dice()` returns.
+    Each epoch shuffles the sample order with `rng`. Each minibatch is one
+    batched forward, one head and one backward. `head(batch, logits)`
+    returns the minibatch loss, its gradient with respect to the logits
+    and a dict of floats to log, each the mean over the minibatch. With
+    `log_rows`, each epoch appends one row: the mean batch loss under
+    `loss_name`, the mean of each logged float, then the columns
+    `log_dice()` returns.
     """
-    opt = Adam(model.parameters(), cfg.learning_rate, cfg.weight_decay)
-    order = np.arange(n)
+    opt = Adam(model.flat, model.grad, cfg.learning_rate, cfg.weight_decay)
+    order = np.arange(len(images))
     for epoch in range(epochs):
         rng.shuffle(order)
         sums = {loss_name: 0.0}
         n_batches = 0
-        for start in range(0, n, cfg.batch_size):
+        for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            opt.zero_grad()
-            total = None
-            logged = {}
-            for idx in batch:
-                term, values = sample_loss(idx)
-                total = term if total is None else total + term
-                for key, v in values.items():
-                    logged[key] = logged.get(key, 0.0) + v
-            total = total / float(len(batch))
-            if not np.isfinite(total.data):
+            logits, cache = segnet.forward(model, images[batch])
+            loss, dlogits, logged = head(batch, logits)
+            if not np.isfinite(loss):
                 raise TrainError(f"{phase} loss diverged at epoch {epoch}")
-            backward(total)
+            segnet.backward(model, dlogits, cache)
             opt.step()
-            sums[loss_name] += float(total.data)
+            sums[loss_name] += loss
             for key, v in logged.items():
-                sums[key] = sums.get(key, 0.0) + v / len(batch)
+                sums[key] = sums.get(key, 0.0) + v
             n_batches += 1
         if log_rows is not None:
             row = {"epoch": epoch}
@@ -209,17 +202,18 @@ def train_teacher(samples, num_organs: int, cfg: TrainConfig,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 1))))
     organs = list(range(1, num_organs + 1))
 
-    def sample_loss(idx):
-        s = samples[idx]
-        probs = losses.softmax_channels(model.forward(Tensor(s.image)))
-        return losses.cross_entropy_hard(s.labels, probs), {}
+    images = np.stack([s.image for s in samples])
+    labels = np.stack([s.labels for s in samples])
+
+    def head(batch, logits):
+        return *losses.cross_entropy(logits, labels[batch]), {}
 
     def log_dice():
         return {f"dice_organ{k}": v
                 for k, v in evaluate(model, samples, organs).per_organ.items()}
 
-    _fit(model, len(samples), cfg.teacher_epochs, rng, cfg, sample_loss, "loss",
-         log_rows, log_dice, "teacher")
+    _fit(model, images, cfg.teacher_epochs, rng, cfg, head, "loss", log_rows,
+         log_dice, "teacher")
     model.freeze()
     return model
 
@@ -244,31 +238,41 @@ def distill_incremental(teacher: segnet.SegModel, new_samples, cfg: TrainConfig,
     # one stream feeds both the shuffle and the perturbation draws
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
     smoothed = [losses.smooth_labels(s.labels, cfg.smooth_fg) for s in new_samples]
+    images = np.stack([s.image for s in new_samples])
     # teacher is frozen, so its clean-image softmax per sample is a constant
-    teacher_probs = losses.softmax(segnet.forward_batch_nograd(
-        teacher, np.stack([s.image for s in new_samples])))
+    teacher_probs = losses.softmax(segnet.forward(teacher, images, cache=False)[0])
 
-    def sample_loss(idx):
+    def weights(idx):
         s = new_samples[idx]
         if cfg.uncertainty_mode == "off":
-            u, mean_u = np.ones_like(s.labels, dtype=np.float64), 1.0
-        else:
-            umap = uncertainty.uncertainty_map(teacher, s.image, cfg.ensemble_size,
-                                               rng, pool)
-            u = uncertainty.weight_from_uncertainty(umap, cfg.uncertainty_mode)
-            mean_u = float(umap.values.mean())
-        total, l_old, l_new = losses.distill_loss(
-            student.forward(Tensor(s.image)), teacher_probs[idx], u, smoothed[idx],
-            k_old, cfg.lambda1, cfg.lambda2, cfg.lambda3)
-        return total, {"loss_old": l_old, "loss_new": l_new, "mean_u": mean_u}
+            return np.ones_like(s.labels, dtype=np.float64), 1.0
+        umap = uncertainty.uncertainty_map(teacher, s.image, cfg.ensemble_size, rng, pool)
+        u = uncertainty.weight_from_uncertainty(umap, cfg.uncertainty_mode)
+        return u, float(umap.values.mean())
+
+    def head(batch, logits):
+        # per image, in minibatch order: the maps draw from `rng` in turn
+        total, dlogits = 0.0, np.empty_like(logits)
+        logged = dict.fromkeys(("loss_old", "loss_new", "mean_u"), 0.0)
+        for i, idx in enumerate(batch):
+            u, mean_u = weights(idx)
+            loss, dlogits[i], l_old, l_new = losses.distill_loss(
+                logits[i], teacher_probs[idx], u, smoothed[idx], k_old,
+                cfg.lambda1, cfg.lambda2, cfg.lambda3)
+            total += loss
+            for key, v in zip(logged, (l_old, l_new, mean_u)):
+                logged[key] += v
+        n = len(batch)
+        return (total / n, dlogits * (1.0 / n),
+                {key: v / n for key, v in logged.items()})
 
     def log_dice():
         new_dice = [dice(predict_labels(student, s.image) == k_old + 1, s.labels == 1)
                     for s in new_samples]
         return {f"dice_organ{k_old + 1}": float(np.mean(new_dice))}
 
-    _fit(student, len(new_samples), cfg.distill_epochs, rng, cfg, sample_loss,
-         "loss_total", log_rows, log_dice, "distillation")
+    _fit(student, images, cfg.distill_epochs, rng, cfg, head, "loss_total", log_rows,
+         log_dice, "distillation")
     if teacher.weights_digest() != digest_before:
         raise TrainError("teacher weights changed during distillation")
     return student

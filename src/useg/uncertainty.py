@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import losses
-from .autodiff import Tensor
-from .segnet import forward_batch_nograd
+from . import losses, segnet
 
 KINDS = ("contrast", "brightness", "gaussian_blur", "gaussian_noise")
 
@@ -135,10 +133,10 @@ def uncertainty_map(teacher, image: np.ndarray, q: int,
     """Entropy of the mean teacher softmax over q perturbed copies."""
     if q < 1:
         raise PerturbationError("Q must be >= 1")
-    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    img = np.asarray(image, dtype=np.float64)
     copies = np.stack([apply_perturbation(img, sample_perturbation(rng, pool), rng)
                        for _ in range(q)])
-    mean = losses.softmax(forward_batch_nograd(teacher, copies)).mean(axis=0)
+    mean = losses.softmax(segnet.forward(teacher, copies, cache=False)[0]).mean(axis=0)
     return UncertaintyMap(entropy_map(mean), num_classes=teacher.config.num_classes)
 
 

@@ -1,17 +1,49 @@
-"""The distillation objective composed from autodiff ops: the test oracle
-for the one-node `useg.losses.distill_loss`, as `conv2d_naive` is for the
-conv.
+"""The training heads composed from graph ops (`graph.py`): the test
+oracle for the closed forms of `useg.losses.cross_entropy` and
+`useg.losses.distill_loss`, as `conv2d_naive` is for the conv.
 
 Every op here records its own backward closure, so the gradient comes
-from the chain rule op by op rather than from the node's closed form.
-The forward uses the node's ops in the node's order, so loss values are
-equal bit for bit.
+from the chain rule op by op rather than from a closed form. The
+distillation forward uses the head's ops in the head's order, so its loss
+values are equal bit for bit.
 """
 
 import numpy as np
 
-from useg.autodiff import Tensor, concat
-from useg.losses import PROB_EPS, LossError, _as_array, _npix, _xlogx, one_hot
+from graph import Tensor, concat
+from useg.losses import PROB_EPS, LossError, _npix, _xlogx, one_hot
+
+
+def _as_array(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def softmax_channels(logits: Tensor) -> Tensor:
+    """Per-pixel softmax over the channel axis of a [C,H,W] tensor."""
+    if logits.shape[0] < 2:
+        raise LossError(f"softmax needs at least 2 channels, got {logits.shape[0]}")
+    # constant shift: the gradient of logsumexp is shift-invariant
+    shift = logits.data.max(axis=0, keepdims=True)
+    e = (logits - Tensor(shift)).exp()
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def kl_divergence(target, pred: Tensor) -> Tensor:
+    """Mean-per-pixel KL(target || pred); gradient flows into pred only."""
+    t = _as_array(target)
+    if t.shape != pred.shape:
+        raise LossError(f"KL shape mismatch: {t.shape} vs {pred.shape}")
+    npix = _npix(t.shape)
+    const = float(_xlogx(t).sum()) / npix
+    cross = (Tensor(t) * pred.clamp_min(PROB_EPS).log()).sum() / npix
+    return const - cross
+
+
+def cross_entropy_hard(labels: np.ndarray, pred: Tensor) -> Tensor:
+    """Mean over pixels of -log pred[label]."""
+    onehot = one_hot(labels, pred.shape[0])
+    npix = _npix(pred.shape)
+    return -(Tensor(onehot) * pred.clamp_min(PROB_EPS).log()).sum() / npix
 
 
 def remap_old(p_s: Tensor, num_old_organs: int) -> Tensor:
@@ -72,7 +104,7 @@ def loss_new(p_hat_new: Tensor, smoothed) -> Tensor:
 def distill_loss(p_s: Tensor, p_t, u: np.ndarray, smoothed, num_old_organs: int,
                  lambda1: float, lambda2: float, lambda3: float):
     """(total, l_old, l_new) as Tensors, from the student probabilities
-    `p_s` (the output of `losses.softmax_channels`)."""
+    `p_s` (the output of `softmax_channels`)."""
     l_old = loss_old(p_t, remap_old(p_s, num_old_organs), u, lambda1, lambda2)
     l_new = loss_new(remap_new(p_s, num_old_organs), smoothed)
     return l_old + lambda3 * l_new, l_old, l_new

@@ -1,18 +1,12 @@
+"""The conv core against the naive loop and finite differences, and the
+graph engine (`graph.py`, the oracle for the model step) against finite
+differences."""
+
 import numpy as np
 import pytest
 
-from useg.autodiff import (
-    AutodiffError,
-    GraphConsumedError,
-    NonFiniteError,
-    Tensor,
-    backward,
-    concat,
-    conv2d,
-    conv_backward,
-    conv_forward,
-    relu,
-)
+from graph import GraphConsumedError, Tensor, backward, concat, conv2d, relu
+from useg.autodiff import AutodiffError, NonFiniteError, conv_backward, conv_forward
 
 
 def conv2d_naive(x, kernel, bias):

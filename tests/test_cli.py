@@ -133,6 +133,13 @@ class TestMalformedInput:
         assert_refused(result, out, read_tree_bytes(out))
         assert "train.batch_size" in result.stderr
 
+    def test_model_num_classes_rejected(self, runner, tmp_path):
+        # the class count follows scenario.teacher_organs; a document may not set it
+        cfg_path, out = make_config(tmp_path, model={"num_classes": 3, "hidden": [4]})
+        result = runner.invoke(main, ["generate", "--config", str(cfg_path)])
+        assert_refused(result, out, {})
+        assert "model.num_classes" in result.stderr
+
     def test_test_index_out_of_range(self, runner, generated):
         cfg_path, out = generated
         manifest = out / "dataset" / "manifest.json"
@@ -163,6 +170,14 @@ class TestTrainTeacher:
         assert len(rows) == 3
         assert {"epoch", "loss", "dice_organ1", "dice_organ2"} <= set(rows[0])
         assert "organ 1" in result.output
+
+    def test_model_section_sets_architecture(self, runner, tmp_path):
+        cfg_path, out = make_config(tmp_path, model={"hidden": [4]})
+        assert runner.invoke(main, ["generate", "--config", str(cfg_path)]).exit_code == 0
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        teacher = segnet.load(out / "teacher.useg")
+        assert (teacher.config.hidden, teacher.config.num_classes) == ((4,), 3)
 
     def test_missing_dataset(self, runner, tmp_path):
         cfg_path, _ = make_config(tmp_path)
@@ -228,6 +243,29 @@ class TestDistill:
         assert result.exit_code == 1
         assert "classes" in result.output
         assert not (out / "student.useg").exists()
+
+    def test_write_failing_halfway_leaves_outputs_whole(self, runner, trained,
+                                                       monkeypatch):
+        from test_segnet import fail_writes_halfway
+        cfg_path, out = trained
+        assert runner.invoke(main, ["distill", "--config", str(cfg_path)]).exit_code == 0
+        before = read_tree_bytes(out)
+        fail_writes_halfway(monkeypatch)
+        result = runner.invoke(main, ["distill", "--config", str(cfg_path),
+                                      "--uncertainty", "off"])
+        assert result.exit_code == 2
+        assert any(line.startswith("error:") for line in result.stderr.splitlines())
+        assert read_tree_bytes(out) == before
+
+    def test_csv_failing_halfway_keeps_old_file(self, tmp_path):
+        from useg.cli import _write_csv
+        path = tmp_path / "log.csv"
+        _write_csv(path, [{"a": 1}])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            _write_csv(path, [{"a": 2}, {"a": 3, "b": 4}])  # row 2 has an unknown key
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
 
     def test_determinism(self, runner, trained):
         cfg_path, out = trained

@@ -39,3 +39,11 @@ def test_float_field_accepts_int_and_tuple_field_accepts_list():
 def test_unknown_top_level_field():
     with pytest.raises(ConfigError, match="extra: unknown field"):
         parse_experiment({**BASE, "extra": 1})
+
+
+def test_model_num_classes_follows_scenario():
+    # the teacher has K organs + background; the document may not say otherwise
+    with pytest.raises(ConfigError, match="model.num_classes: unknown field"):
+        parse_experiment({**BASE, "model": {"num_classes": 3}})
+    cfg = parse_experiment({**BASE, "model": {"hidden": [4]}})
+    assert (cfg.model.num_classes, cfg.model.hidden) == (3, (4,))

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed_losses as composed
+from graph import Tensor, backward
 from useg import losses
-from useg.autodiff import Tensor, backward
 
 
 def random_probmap(rng, c, h=4, w=4):
@@ -15,43 +15,43 @@ def random_probmap(rng, c, h=4, w=4):
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        p = losses.softmax_channels(Tensor(np.zeros((3, 2, 2))))
+        p = composed.softmax_channels(Tensor(np.zeros((3, 2, 2))))
         assert np.allclose(p.data, 1.0 / 3.0)
 
     def test_analytic_two_channel(self):
         logits = np.zeros((2, 1, 1))
         logits[0] = np.log(2.0)
-        p = losses.softmax_channels(Tensor(logits))
+        p = composed.softmax_channels(Tensor(logits))
         assert np.allclose(p.data[:, 0, 0], [2 / 3, 1 / 3])
 
     def test_no_overflow_on_huge_logits(self):
         logits = np.zeros((2, 1, 1))
         logits[0] = 1000.0
-        p = losses.softmax_channels(Tensor(logits))
+        p = composed.softmax_channels(Tensor(logits))
         assert np.allclose(p.data[:, 0, 0], [1.0, 0.0], atol=1e-12)
 
     def test_single_channel_rejected(self):
         with pytest.raises(losses.LossError):
-            losses.softmax_channels(Tensor(np.zeros((1, 2, 2))))
+            composed.softmax_channels(Tensor(np.zeros((1, 2, 2))))
 
 
 class TestKL:
     def test_self_divergence_zero(self):
         rng = np.random.Generator(np.random.PCG64(0))
         p = random_probmap(rng, 3)
-        assert abs(float(losses.kl_divergence(p, Tensor(p)).data)) < 1e-9
+        assert abs(float(composed.kl_divergence(p, Tensor(p)).data)) < 1e-9
 
     def test_onehot_vs_uniform(self):
         t = np.array([1.0, 0.0]).reshape(2, 1, 1)
         p = np.array([0.5, 0.5]).reshape(2, 1, 1)
-        got = float(losses.kl_divergence(t, Tensor(p)).data)
+        got = float(composed.kl_divergence(t, Tensor(p)).data)
         assert got == pytest.approx(np.log(2), abs=1e-9)
 
     def test_analytic_half_quarter(self):
         t = np.array([0.5, 0.5]).reshape(2, 1, 1)
         p = np.array([0.25, 0.75]).reshape(2, 1, 1)
         expected = 0.5 * np.log(2) + 0.5 * np.log(2 / 3)
-        got = float(losses.kl_divergence(t, Tensor(p)).data)
+        got = float(composed.kl_divergence(t, Tensor(p)).data)
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(0.143841, abs=1e-6)
 
@@ -60,46 +60,46 @@ class TestKL:
         for _ in range(100):
             t = random_probmap(rng, 4)
             p = random_probmap(rng, 4)
-            assert float(losses.kl_divergence(t, p if isinstance(p, Tensor) else Tensor(p)).data) >= -1e-12
+            assert float(composed.kl_divergence(t, p if isinstance(p, Tensor) else Tensor(p)).data) >= -1e-12
 
     def test_gradient_into_pred_only(self):
         rng = np.random.Generator(np.random.PCG64(2))
         t = Tensor(random_probmap(rng, 3), requires_grad=True)
         p = Tensor(random_probmap(rng, 3), requires_grad=True)
-        backward(losses.kl_divergence(t, p))
+        backward(composed.kl_divergence(t, p))
         assert np.array_equal(t.grad, np.zeros_like(t.data))
         assert np.abs(p.grad).max() > 0
 
     def test_shape_mismatch(self):
         with pytest.raises(losses.LossError):
-            losses.kl_divergence(np.ones((2, 1, 1)) / 2, Tensor(np.ones((3, 1, 1)) / 3))
+            composed.kl_divergence(np.ones((2, 1, 1)) / 2, Tensor(np.ones((3, 1, 1)) / 3))
 
 
 class TestCrossEntropy:
     def test_analytic(self):
         labels = np.array([[1]])
         pred = Tensor(np.array([0.2, 0.8]).reshape(2, 1, 1))
-        got = float(losses.cross_entropy_hard(labels, pred).data)
+        got = float(composed.cross_entropy_hard(labels, pred).data)
         assert got == pytest.approx(-np.log(0.8), abs=1e-9)
         assert got == pytest.approx(0.223144, abs=1e-6)
 
     def test_onehot_pred_is_zero_loss(self):
         labels = np.array([[0, 1], [1, 0]])
         pred = Tensor(losses.one_hot(labels, 2).clip(1e-12, 1.0))
-        assert float(losses.cross_entropy_hard(labels, pred).data) < 1e-9
+        assert float(composed.cross_entropy_hard(labels, pred).data) < 1e-9
 
     def test_equals_kl_against_onehot(self):
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(20):
             labels = rng.integers(0, 3, (4, 4))
             pred = random_probmap(rng, 3)
-            ce = float(losses.cross_entropy_hard(labels, Tensor(pred)).data)
-            kl = float(losses.kl_divergence(losses.one_hot(labels, 3), Tensor(pred)).data)
+            ce = float(composed.cross_entropy_hard(labels, Tensor(pred)).data)
+            kl = float(composed.kl_divergence(losses.one_hot(labels, 3), Tensor(pred)).data)
             assert ce == pytest.approx(kl, abs=1e-9)
 
     def test_out_of_range_label(self):
         with pytest.raises(losses.LossError):
-            losses.cross_entropy_hard(np.array([[5]]), Tensor(np.ones((2, 1, 1)) / 2))
+            composed.cross_entropy_hard(np.array([[5]]), Tensor(np.ones((2, 1, 1)) / 2))
 
 
 class TestRemaps:
@@ -267,16 +267,14 @@ def distill_case(seed, std=1.0):
 
 
 def node_and_oracle(logits, p_t, u, g, k, lams):
-    """(total, l_old, l_new, logits gradient) of the one-node objective and
-    of the composed oracle on the same inputs."""
-    a = Tensor(logits.copy(), requires_grad=True)
-    total, l_old, l_new = losses.distill_loss(a, p_t, u, g, k, *lams)
-    backward(total)
+    """(total, l_old, l_new, logits gradient) of the closed-form head and of
+    the composed oracle on the same inputs."""
+    total, grad, l_old, l_new = losses.distill_loss(logits.copy(), p_t, u, g, k, *lams)
     b = Tensor(logits.copy(), requires_grad=True)
     total_c, l_old_c, l_new_c = composed.distill_loss(
-        losses.softmax_channels(b), p_t, u, g, k, *lams)
+        composed.softmax_channels(b), p_t, u, g, k, *lams)
     backward(total_c)
-    return ((float(total.data), l_old, l_new, a.grad),
+    return ((total, l_old, l_new, grad),
             (float(total_c.data), float(l_old_c.data), float(l_new_c.data), b.grad))
 
 
@@ -334,13 +332,12 @@ class TestDistillLoss:
         from test_autodiff import finite_diff, rel_err
         logits, p_t, u, g, k, _ = distill_case(4, 3.0) if case == "random" else clamped_case()
         lams = (1.0, 20.0, 20.0)
-        z = Tensor(logits, requires_grad=True)
 
         def fval():
-            return float(losses.distill_loss(Tensor(z.data), p_t, u, g, k, *lams)[0].data)
+            return losses.distill_loss(logits, p_t, u, g, k, *lams)[0]
 
-        backward(losses.distill_loss(z, p_t, u, g, k, *lams)[0])
-        assert rel_err(z.grad, finite_diff(fval, z.data)).max() < 1e-4
+        grad = losses.distill_loss(logits, p_t, u, g, k, *lams)[1]
+        assert rel_err(grad, finite_diff(fval, logits)).max() < 1e-4
 
     def test_zero_old_weights_skip_is_byte_identical(self):
         # l1 = l2 = 0 skips the old-task term; a zero that reads as true
@@ -349,16 +346,14 @@ class TestDistillLoss:
             logits, p_t, u, g, k, (_, _, lam3) = distill_case(seed, 3.0)
             out = []
             for zero in (0.0, _ZeroNotFalse(0.0)):
-                z = Tensor(logits.copy(), requires_grad=True)
-                total, l_old, l_new = losses.distill_loss(z, p_t, u, g, k, zero, zero, lam3)
-                backward(total)
-                out.append((total.data.tobytes(), l_old, l_new, z.grad.tobytes()))
+                total, grad, l_old, l_new = losses.distill_loss(logits, p_t, u, g, k,
+                                                                zero, zero, lam3)
+                out.append((np.float64(total).tobytes(), l_old, l_new, grad.tobytes()))
             assert out[0] == out[1]
             assert out[0][1] == 0.0
 
     def test_bad_inputs_rejected(self):
         logits, p_t, u, g, k, lams = clamped_case()
-        z = Tensor(logits)
         for args in ((p_t, u, g, k, 1.0, -1.0, 1.0),      # negative weight
                      (p_t, -u, g, k) + lams,              # negative u
                      (p_t, u[:, :2], g, k) + lams,        # u shape
@@ -367,4 +362,4 @@ class TestDistillLoss:
                      (p_t, u, g[:, :2], k) + lams,        # g shape
                      (p_t, u, g, k + 1) + lams):          # student channels
             with pytest.raises(losses.LossError):
-                losses.distill_loss(z, *args)
+                losses.distill_loss(logits, *args)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from useg import segnet
-from useg.autodiff import Tensor, conv2d
+from useg.autodiff import conv_forward
+from useg.losses import softmax
 from useg.segnet import (
     BadMagicError,
     ModelError,
     SegModelConfig,
     TruncatedFileError,
     extend_for_increment,
-    forward_batch_nograd,
     init_random,
     load,
     save,
@@ -18,6 +18,11 @@ from useg.segnet import (
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def logits(model, image):
+    """[Cin,H,W] image -> [C,H,W] logits, by the forward that keeps no cache."""
+    return segnet.forward(model, image[None], cache=False)[0][0]
 
 
 class TestConfig:
@@ -54,10 +59,9 @@ class TestInitRandom:
             assert np.array_equal(bias.data, np.zeros_like(bias.data))
 
     def test_zero_image_uniform_softmax(self):
-        from useg.losses import softmax_channels
         model = init_random(SegModelConfig(num_classes=4), 3)
-        probs = softmax_channels(model.forward(Tensor(np.zeros((1, 6, 6)))))
-        assert np.allclose(probs.data, 0.25)
+        probs = softmax(logits(model, np.zeros((1, 6, 6))))
+        assert np.allclose(probs, 0.25)
 
     def test_kernel_bound(self):
         cfg = SegModelConfig(num_classes=3, hidden=(8,))
@@ -73,28 +77,28 @@ class TestForward:
         model = init_random(cfg, 4)
         img = rng_for(0).uniform(0, 1, (1, 5, 5))
         kern, bias = model.layers[0]
-        direct = conv2d(Tensor(img), kern, bias).data
-        assert np.array_equal(model.forward(Tensor(img)).data, direct)
+        direct = conv_forward(img[None], kern.data, bias.data)[0][0]
+        assert np.array_equal(logits(model, img), direct)
 
     @pytest.mark.parametrize("h,w", [(1, 1), (3, 7), (16, 16)])
     def test_resolution_preserved(self, h, w):
         model = init_random(SegModelConfig(num_classes=3), 0)
-        out = model.forward(Tensor(np.zeros((1, h, w))))
+        out = logits(model, np.zeros((1, h, w)))
         assert out.shape == (3, h, w)
 
     def test_forward_deterministic(self):
         model = init_random(SegModelConfig(num_classes=3), 0)
         img = rng_for(1).uniform(0, 1, (1, 8, 8))
-        a = model.forward(Tensor(img)).data
-        b = model.forward(Tensor(img)).data
+        a = logits(model, img)
+        b = logits(model, img)
         assert np.array_equal(a, b)
 
     def test_batched_matches_per_image(self):
         model = init_random(SegModelConfig(num_classes=3), 9)
         imgs = rng_for(2).uniform(0, 1, (4, 1, 6, 6))
-        batched = forward_batch_nograd(model, imgs)
+        batched = segnet.forward(model, imgs)[0]
         for i in range(4):
-            single = model.forward(Tensor(imgs[i])).data
+            single = logits(model, imgs[i])
             assert np.abs(batched[i] - single).max() < 1e-12
 
     @pytest.mark.parametrize("n", [1, 6])
@@ -104,15 +108,15 @@ class TestForward:
         student = extend_for_increment(teacher, 1, 12)
         assert not student.frozen
         imgs = rng_for(3).uniform(0, 1, (n, 1, 9, 7))
-        batched = forward_batch_nograd(student, imgs)
+        batched = segnet.forward(student, imgs)[0]
         for i in range(n):
-            single = student.forward(Tensor(imgs[i])).data
+            single = logits(student, imgs[i])
             assert np.abs(batched[i] - single).max() < 1e-12
 
     def test_wrong_channels_rejected(self):
         model = init_random(SegModelConfig(num_classes=3), 0)
         with pytest.raises(ModelError):
-            model.forward(Tensor(np.zeros((2, 4, 4))))
+            segnet.forward(model, np.zeros((1, 2, 4, 4)))
 
 
 class TestExtend:
@@ -126,15 +130,14 @@ class TestExtend:
         teacher = init_random(SegModelConfig(num_classes=3), 6)
         student = extend_for_increment(teacher, 0, 7)
         img = rng_for(3).uniform(0, 1, (1, 6, 6))
-        assert np.array_equal(student.forward(Tensor(img)).data,
-                              teacher.forward(Tensor(img)).data)
+        assert np.array_equal(logits(student, img), logits(teacher, img))
 
     def test_parameter_count_delta(self):
         teacher = init_random(SegModelConfig(num_classes=3, hidden=(8, 16)), 6)
         student = extend_for_increment(teacher, 2, 7)
         k = teacher.config.kernel_size
         expected = (16 * k * k + 1) * 2
-        assert student.num_parameters() - teacher.num_parameters() == expected
+        assert student.flat.size - teacher.flat.size == expected
 
     def test_argmax_agreement_after_extension(self):
         teacher = init_random(SegModelConfig(num_classes=3), 8)
@@ -144,8 +147,8 @@ class TestExtend:
         student = extend_for_increment(teacher, 1, 9)
         rng = rng_for(4)
         img = rng.uniform(0, 1, (1, 10, 10))
-        t_arg = teacher.forward(Tensor(img)).data.argmax(axis=0)
-        s_logits = student.forward(Tensor(img)).data
+        t_arg = logits(teacher, img).argmax(axis=0)
+        s_logits = logits(student, img)
         s_arg = s_logits[:3].argmax(axis=0)  # renormalized over old channels
         assert np.array_equal(t_arg, s_arg)
 
@@ -166,8 +169,7 @@ class TestPersistence:
         assert loaded.config == model.config
         assert loaded.weights_digest() == model.weights_digest()
         img = rng_for(5).uniform(0, 1, (1, 6, 6))
-        assert np.array_equal(loaded.forward(Tensor(img)).data,
-                              model.forward(Tensor(img)).data)
+        assert np.array_equal(logits(loaded, img), logits(model, img))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.useg"
@@ -201,3 +203,61 @@ class TestPersistence:
         path.write_bytes(b"USEG\x01\x00")
         with pytest.raises(TruncatedFileError):
             load(path)
+
+
+class HalfWriter:
+    """A file that takes half of the first write and then fails, as a full
+    disk does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def fail_writes_halfway(monkeypatch):
+    """Make every file `segnet` opens for writing take half a write, then fail."""
+    def half_open(path, mode):
+        return HalfWriter(open(path, mode)) if "w" in mode else open(path, mode)
+
+    monkeypatch.setattr(segnet, "open", half_open, raising=False)
+
+
+class TestAtomicSave:
+    def test_write_failing_halfway_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.useg"
+        save(init_random(SegModelConfig(num_classes=3), 0), path)
+        before = path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            save(init_random(SegModelConfig(num_classes=3), 1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.useg"]
+
+    def test_write_failing_halfway_leaves_no_file(self, tmp_path, monkeypatch):
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            save(init_random(SegModelConfig(num_classes=3), 0), tmp_path / "m.useg")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replace_failing_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.useg"
+        save(init_random(SegModelConfig(num_classes=3), 0), path)
+        before = path.read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(segnet.os, "replace", no_replace)
+        with pytest.raises(OSError):
+            save(init_random(SegModelConfig(num_classes=3), 1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.useg"]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import composed_losses as composed
+from graph import Tensor
 from useg import losses, phantom, segnet, trainer, uncertainty
-from useg.autodiff import Tensor, backward
 from useg.trainer import Adam, TrainConfig, TrainError, dice, evaluate
 
 
@@ -13,27 +13,35 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class Param:
+    """A flat parameter vector and its gradient, as a model holds them."""
+
+    def __init__(self, values):
+        self.data = np.asarray(values, dtype=float)
+        self.grad = np.zeros_like(self.data)
+
+
 class TestAdam:
     def _param(self, values):
-        return Tensor(np.asarray(values, dtype=float), requires_grad=True)
+        return Param(values)
 
     def test_zero_grad_zero_wd_no_change(self):
         p = self._param([1.0, -2.0])
-        opt = Adam([p], lr=0.1, weight_decay=0.0)
+        opt = Adam(p.data, p.grad, lr=0.1, weight_decay=0.0)
         opt.step()
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         p = self._param([0.0, 0.0])
         p.grad[:] = [3.0, 0.5]
-        opt = Adam([p], lr=0.01)
+        opt = Adam(p.data, p.grad, lr=0.01)
         opt.step()
         # bias-corrected first step moves by lr regardless of grad scale
         assert np.allclose(p.data, [-0.01, -0.01], rtol=1e-6)
 
     def test_pure_weight_decay_shrinks(self):
         p = self._param([2.0])
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
+        opt = Adam(p.data, p.grad, lr=0.1, weight_decay=0.5)
         opt.step()
         # decoupled: p <- p(1 - lr*wd), Adam update is 0 for zero grad
         assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
@@ -41,7 +49,7 @@ class TestAdam:
     def test_nonfinite_gradient_aborts(self):
         p = self._param([1.0])
         p.grad[:] = [np.inf]
-        opt = Adam([p], lr=0.1)
+        opt = Adam(p.data, p.grad, lr=0.1)
         with pytest.raises(TrainError):
             opt.step()
 
@@ -49,7 +57,7 @@ class TestAdam:
         results = []
         for _ in range(2):
             p = self._param([1.0, 2.0])
-            opt = Adam([p], lr=0.05, weight_decay=0.01)
+            opt = Adam(p.data, p.grad, lr=0.05, weight_decay=0.01)
             for step in range(10):
                 p.grad[:] = [0.1 * step, -0.2]
                 opt.step()
@@ -239,14 +247,14 @@ class TestDistill:
         s = new[0]
         student = segnet.extend_for_increment(teacher, 1, 3)
         u = np.ones_like(s.labels, dtype=float)
-        p_t = losses.softmax_channels(teacher.forward(Tensor(s.image))).data
-        total, _, _ = losses.distill_loss(student.forward(Tensor(s.image)), p_t, u,
-                                          losses.smooth_labels(s.labels), 1, 0.0, 1.0, 1.0)
-        p_s2 = losses.softmax_channels(student.forward(Tensor(s.image)))
-        kl = losses.kl_divergence(p_t, composed.remap_old(p_s2, 1))
+        p_t = losses.softmax(segnet.forward(teacher, s.image[None])[0][0])
+        s_logits = segnet.forward(student, s.image[None])[0][0]
+        total = losses.distill_loss(s_logits, p_t, u, losses.smooth_labels(s.labels),
+                                    1, 0.0, 1.0, 1.0)[0]
+        p_s2 = composed.softmax_channels(Tensor(s_logits))
+        kl = composed.kl_divergence(p_t, composed.remap_old(p_s2, 1))
         ln = composed.loss_new(composed.remap_new(p_s2, 1), losses.smooth_labels(s.labels))
-        assert float(total.data) == pytest.approx(float(kl.data) + float(ln.data),
-                                                  abs=1e-12)
+        assert total == pytest.approx(float(kl.data) + float(ln.data), abs=1e-12)
 
     def test_uncertainty_off_means_unit_weights(self, distill_setup, monkeypatch):
         # mode off computes no uncertainty map and weights every pixel by 1

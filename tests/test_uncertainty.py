@@ -139,17 +139,18 @@ class TestUncertaintyMap:
         assert np.array_equal(uncertainty.entropy_map(mean), np.zeros((2, 2)))
 
     def test_matches_recomputation_oracle(self, tiny_teacher):
-        from useg.autodiff import Tensor
-        from useg.losses import softmax_channels
+        import graph
+        from composed_losses import softmax_channels
         img = rng_for(8).uniform(0, 1, (1, 6, 6))
         pool = PoolConfig()
         # replicate the draws with an identical rng stream, per-image graph path
         rng = rng_for(9)
+        params = graph.parameters(tiny_teacher)
         stored = []
         for _ in range(6):
             specs = sample_perturbation(rng, pool)
             xq = apply_perturbation(img, specs, rng)
-            stored.append(softmax_channels(tiny_teacher.forward(Tensor(xq))).data)
+            stored.append(softmax_channels(graph.model_forward(params, xq)).data)
         expected = uncertainty.entropy_map(np.mean(stored, axis=0))
         got = uncertainty_map(tiny_teacher, img, 6, rng_for(9), pool)
         assert np.abs(got.values - expected).max() < 1e-12
