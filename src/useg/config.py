@@ -95,10 +95,6 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     num_samples = doc.get("num_samples", 100)
     _check_type("num_samples", num_samples, "int")
 
-    phantom_doc = dict(doc.get("phantom", {}))
-    phantom_doc.setdefault("seed", seed)
-    train_doc = dict(doc.get("train", {}))
-    train_doc.setdefault("seed", seed)
     scenario = _build(Scenario, doc["scenario"], "scenario")
     model = None
     if "model" in doc:
@@ -106,8 +102,11 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         model = _build(SegModelConfig, doc["model"], "model",
                        derived={"num_classes": scenario.teacher_organs + 1})
     return ExperimentConfig(
-        phantom=_build(PhantomConfig, phantom_doc, "phantom"),
-        train=_build(TrainConfig, train_doc, "train"),
+        # one seed: the sections take the top-level one and may not set theirs
+        phantom=_build(PhantomConfig, doc.get("phantom", {}), "phantom",
+                       derived={"seed": seed}),
+        train=_build(TrainConfig, doc.get("train", {}), "train",
+                     derived={"seed": seed}),
         scenario=scenario,
         pool=_build(PoolConfig, doc.get("pool", {}), "pool"),
         model=model,

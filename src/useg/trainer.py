@@ -42,6 +42,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise TrainError("learning rate must be > 0")
+        if self.weight_decay < 0:
+            raise TrainError("weight decay must be >= 0")
+        if min(self.teacher_epochs, self.distill_epochs) < 1:
+            raise TrainError("teacher and distillation epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainError("batch size must be >= 1")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:

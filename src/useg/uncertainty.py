@@ -8,10 +8,10 @@ map used to weight the old-task distillation loss.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import losses, segnet
 
@@ -75,13 +75,44 @@ def sample_perturbation(rng: np.random.Generator, cfg: PoolConfig = PoolConfig()
             return specs
 
 
+@functools.lru_cache(maxsize=64)
+def _nearest_pairs(n: int, radius: int) -> np.ndarray:
+    """[2r, n] source indices of the tap pairs of a length-n axis: i − d in
+    the first r rows and i + d in the last r, for d = r … 1, clamped to
+    the edge ("nearest"). Cached: the images share one size, and the radii
+    take a handful of values."""
+    i = np.arange(n)
+    d = np.arange(radius, 0, -1)[:, None]
+    return np.clip(np.concatenate([i - d, i + d]), 0, n - 1)
+
+
+def _smooth_rows(x: np.ndarray, kern: np.ndarray, radius: int) -> np.ndarray:
+    """Correlate axis -2 of x with a symmetric kernel of 2r+1 taps, edges
+    clamped, folded as ndimage's correlate1d folds it, so the bytes match
+    it (the tests compare them): the centre tap times kern[r], then
+    (x[i−d] + x[i+d])·kern[r−d] added one by one for d = r … 1. The
+    running sum is explicit: on a 1×1 image numpy would sum a stacked tap
+    axis pairwise, in another order."""
+    taps = np.take(x, _nearest_pairs(x.shape[-2], radius), axis=-2)
+    pairs = taps[..., :radius, :, :]
+    pairs += taps[..., radius:, :, :]
+    pairs *= kern[:radius, None, None]
+    # C order like `pairs`, so the adds stream; x may be a transposed view
+    out = np.multiply(x, kern[radius], order="C")
+    for k in range(radius):  # d = r - k
+        out += pairs[..., k, :, :]
+    return out
+
+
 def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
     radius = int(np.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kern = np.exp(-0.5 * (offsets / sigma) ** 2)
     kern /= kern.sum()
-    out = ndimage.correlate1d(img, kern, axis=-2, mode="nearest")
-    return ndimage.correlate1d(out, kern, axis=-1, mode="nearest")
+    # rows, then columns as rows of the transpose; the result is C-ordered,
+    # so later reductions over it sum in the same order as before
+    out = _smooth_rows(img, kern, radius).swapaxes(-1, -2)
+    return np.ascontiguousarray(_smooth_rows(out, kern, radius).swapaxes(-1, -2))
 
 
 def apply_perturbation(image: np.ndarray, specs,
@@ -122,9 +153,7 @@ class UncertaintyMap:
 
 def entropy_map(mean_probs: np.ndarray) -> np.ndarray:
     """Per-pixel entropy of a [C,H,W] probability map."""
-    p = np.asarray(mean_probs)
-    plogp = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)), 0.0)
-    return np.maximum(-plogp.sum(axis=0), 0.0)
+    return np.maximum(-losses._xlogx(np.asarray(mean_probs)).sum(axis=0), 0.0)
 
 
 def uncertainty_map(teacher, image: np.ndarray, q: int,

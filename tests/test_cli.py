@@ -133,6 +133,25 @@ class TestMalformedInput:
         assert_refused(result, out, read_tree_bytes(out))
         assert "train.batch_size" in result.stderr
 
+    def test_untrainable_lengths_rejected(self, runner, generated):
+        # refused before training: no untrained teacher.useg, no empty log
+        cfg_path, out = generated
+        doc = json.loads(cfg_path.read_text())
+        doc["train"].update(teacher_epochs=-3, weight_decay=-0.5)
+        cfg_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert_refused(result, out, read_tree_bytes(out))
+        assert "error: train:" in result.stderr
+
+    def test_section_seed_rejected(self, runner, tmp_path):
+        # the top-level seed (or --seed) is the one seed; a section may not
+        # keep its own that the override would leave behind
+        cfg_path, out = make_config(tmp_path, train={"teacher_epochs": 3, "seed": 0})
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path),
+                                      "--seed", "5"])
+        assert_refused(result, out, {})
+        assert "error: train.seed: unknown field" in result.stderr
+
     def test_model_num_classes_rejected(self, runner, tmp_path):
         # the class count follows scenario.teacher_organs; a document may not set it
         cfg_path, out = make_config(tmp_path, model={"num_classes": 3, "hidden": [4]})
@@ -315,3 +334,14 @@ class TestGradcheck:
     def test_impossible_tolerance_fails(self, runner):
         result = runner.invoke(main, ["gradcheck", "--seed", "0", "--tol", "1e-18"])
         assert result.exit_code == 2
+
+
+def test_cli_imports_no_scipy():
+    # the runtime is numpy and click; scipy is only a test oracle
+    root = Path(__file__).resolve().parent.parent
+    code = ("import useg.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=root, check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert result.stdout.strip() == "[]"

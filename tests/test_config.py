@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from useg.config import ConfigError, parse_experiment
+from useg.config import ConfigError, load_experiment, parse_experiment
 
 BASE = {"seed": 0, "out_dir": "run", "scenario": {"teacher_organs": 2, "new_organ": 3}}
 
@@ -47,3 +49,17 @@ def test_model_num_classes_follows_scenario():
         parse_experiment({**BASE, "model": {"num_classes": 3}})
     cfg = parse_experiment({**BASE, "model": {"hidden": [4]}})
     assert (cfg.model.num_classes, cfg.model.hidden) == (3, (4,))
+
+
+@pytest.mark.parametrize("section", ["phantom", "train"])
+def test_section_seed_rejected(section):
+    # one seed per document: a section seed would survive a --seed override
+    with pytest.raises(ConfigError, match=f"{section}.seed: unknown field"):
+        parse_experiment({**BASE, section: {"seed": 0}})
+
+
+def test_seed_override_reaches_every_section(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BASE))
+    cfg = load_experiment(path, {"seed": 5})
+    assert (cfg.seed, cfg.phantom.seed, cfg.train.seed) == (5, 5, 5)

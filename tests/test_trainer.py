@@ -151,6 +151,11 @@ class TestTrainConfig:
             TrainConfig(uncertainty_mode="bogus")
         with pytest.raises(TrainError):
             TrainConfig(ensemble_size=0)
+        for bad in (dict(teacher_epochs=0), dict(teacher_epochs=-3),
+                    dict(distill_epochs=0), dict(weight_decay=-0.5)):
+            with pytest.raises(TrainError):
+                TrainConfig(**bad)
+        TrainConfig(teacher_epochs=1, distill_epochs=1, weight_decay=0.0)
 
 
 def quick_cfg(**kw):

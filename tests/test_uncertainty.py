@@ -101,6 +101,53 @@ class TestApplyPerturbation:
                                [PerturbationSpec("gaussian_blur", 1.0)])
 
 
+def nearest_correlate(x, kern, axis):
+    """Literal reference: per output pixel, a loop over the taps, each
+    reading the source pixel at its offset clamped to the edge."""
+    x = np.moveaxis(x, axis, -1)
+    n, r = x.shape[-1], len(kern) // 2
+    out = np.zeros_like(x)
+    for i in range(n):
+        for t, w in enumerate(kern):
+            out[..., i] += w * x[..., min(max(i + t - r, 0), n - 1)]
+    return np.moveaxis(out, -1, axis)
+
+
+def gaussian_kernel(sigma):
+    radius = int(np.ceil(3.0 * sigma))
+    kern = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
+    return kern / kern.sum()
+
+
+def blur_cases(seed, n):
+    """(image, sigma): sigma in (0.05, 4], shapes down to 1x1, and radii
+    (up to 12) larger than the image."""
+    rng = rng_for(seed)
+    fixed = [(1, 1), (1, 7), (7, 1), (2, 3), (5, 4), (32, 32)]
+    for i in range(n):
+        h, w = fixed[i] if i < len(fixed) else rng.integers(1, 40, 2)
+        lead = (int(rng.integers(1, 4)),) if i % 4 == 3 else (1,)
+        yield rng.uniform(0, 1, lead + (int(h), int(w))), float(rng.uniform(0.05, 4.0))
+
+
+class TestBlurOracles:
+    def test_matches_literal_nearest_reference(self):
+        for img, sigma in blur_cases(20, 120):
+            kern = gaussian_kernel(sigma)
+            want = nearest_correlate(nearest_correlate(img, kern, -2), kern, -1)
+            got = uncertainty._blur(img, sigma)
+            assert got.shape == img.shape and got.flags.c_contiguous
+            assert np.abs(got - want).max() <= 1e-15, (img.shape, sigma)
+
+    def test_bytes_equal_scipy_correlate1d(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for img, sigma in blur_cases(21, 400):
+            kern = gaussian_kernel(sigma)
+            want = ndimage.correlate1d(img, kern, axis=-2, mode="nearest")
+            want = ndimage.correlate1d(want, kern, axis=-1, mode="nearest")
+            assert uncertainty._blur(img, sigma).tobytes() == want.tobytes(), (img.shape, sigma)
+
+
 @pytest.fixture(scope="module")
 def tiny_teacher():
     cfg = segnet.SegModelConfig(num_classes=3, hidden=(4,))
