@@ -20,6 +20,7 @@ import click
 import numpy as np
 
 from . import losses, phantom, segnet, trainer, uncertainty
+from .atomic import write_atomic
 from .autodiff import AutodiffError
 from .config import ConfigError, ExperimentConfig, load_experiment
 
@@ -102,7 +103,7 @@ def _write_csv(path, rows, fieldnames=None):
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
     writer.writerows(rows)
-    segnet.write_atomic(path, buf.getvalue().encode())
+    write_atomic(path, buf.getvalue().encode())
 
 
 def _dataset_dir(cfg: ExperimentConfig) -> Path:
@@ -224,8 +225,8 @@ def distill(config_path, seed, out, teacher_path, uncertainty_mode):
         _write_csv(out_dir / "distill_log.csv", log_rows)
         report = trainer.evaluate(student, [samples[i] for i in test_idx],
                                   range(1, cfg.scenario.new_organ + 1), cfg)
-        segnet.write_atomic(out_dir / "eval_report.json",
-                            (json.dumps(report.to_dict(), indent=2) + "\n").encode())
+        write_atomic(out_dir / "eval_report.json",
+                     (json.dumps(report.to_dict(), indent=2) + "\n").encode())
         _write_csv(out_dir / "eval_report.csv",
                    [{"organ": k, "dice": v} for k, v in sorted(report.per_organ.items())]
                    + [{"organ": "mean", "dice": report.mean_dice}])

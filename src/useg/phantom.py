@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
+
 
 class PhantomError(Exception):
     pass
@@ -216,7 +218,7 @@ def write_dataset(root, cfg: PhantomConfig, samples) -> None:
         "train_indices": train,
         "test_indices": test,
     }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_atomic(root / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 def read_manifest(root) -> dict:
@@ -241,6 +243,8 @@ def read_manifest(root) -> dict:
     if not all(isinstance(part, list) and all(
             isinstance(i, int) and not isinstance(i, bool) for i in part) for part in split):
         raise PhantomError("manifest train/test indices must be lists of integers")
+    if not all(split):
+        raise PhantomError("manifest train and test splits must each hold at least one sample")
     if sorted(split[0] + split[1]) != list(range(n)):
         raise PhantomError(f"manifest train and test indices must be disjoint and "
                            f"cover samples 0..{n - 1} exactly")
@@ -258,8 +262,14 @@ def load_dataset(root) -> tuple:
         raise PhantomError(f"manifest phantom section is invalid: {e}") from e
     samples = []
     for i in range(manifest["num_samples"]):
-        image = image_from_pgm(root / "images" / f"{i}.pgm")
-        labels, maxval = read_pgm(root / "labels_full" / f"{i}.pgm")
+        image_path = root / "images" / f"{i}.pgm"
+        label_path = root / "labels_full" / f"{i}.pgm"
+        image = image_from_pgm(image_path)
+        labels, maxval = read_pgm(label_path)
+        for path, raster in ((image_path, image[0]), (label_path, labels)):
+            if raster.shape != (cfg.size, cfg.size):
+                raise PhantomError(f"{path}: raster is {raster.shape[0]}x{raster.shape[1]}, "
+                                   f"but the manifest's size is {cfg.size}")
         if maxval != cfg.num_organs or labels.max() > cfg.num_organs:
             raise PhantomError(f"label file {i} inconsistent with manifest")
         samples.append(PhantomSample(image=image, labels=labels))

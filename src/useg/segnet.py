@@ -9,13 +9,12 @@ rows for the new classes.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .autodiff import Tensor, conv_backward, conv_forward
 
 MAGIC = b"USEG"
@@ -105,11 +104,9 @@ def forward(model: SegModel, x: np.ndarray, cache: bool = True):
     hidden layer's ReLU mask is its output > 0, which is the next layer's
     cached input > 0, so it is not stored. With `cache=False` (no gradient
     needed) the cache is None and each layer's unfolded input is freed as
-    soon as the layer is done.
+    soon as the layer is done; `infer` calls it so, one chunk at a time.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1] != model.config.in_channels:
-        raise ModelError(f"expected [N,{model.config.in_channels},H,W], got {x.shape}")
+    x = _images(model, x)
     kept = [] if cache else None
     last = len(model.layers) - 1
     for li, (kern, bias) in enumerate(model.layers):
@@ -119,6 +116,36 @@ def forward(model: SegModel, x: np.ndarray, cache: bool = True):
         del cols
         x = np.maximum(out, 0.0, out=out) if li < last else out
     return x, kept
+
+
+# Images per `forward` in `infer`: the no-grad working set is one chunk's
+# unfolded inputs (72·H·W floats per image at the 8→16 layer). In a sweep
+# of 1-16 (BENCH_infer.json) the time per image did not move, and 4 came
+# within 2 MB of the lowest `distill` peak RSS (chunks of 1 and 2, which
+# took more page faults); 6 to 16 held 2 to 11 MB more.
+INFER_CHUNK = 4
+
+
+def infer(model: SegModel, x: np.ndarray) -> np.ndarray:
+    """[N,Cin,H,W] images -> [N,C,H,W] logits, with no gradient: the one
+    entry point for every forward that needs none. It runs `forward` with
+    `cache=False` over INFER_CHUNK images at a time into one preallocated
+    output. One image's logits do not depend on the other images in its
+    batch, so the bytes equal those of one forward over all N."""
+    x = _images(model, x)
+    n, _, h, w = x.shape
+    out = np.empty((n, model.config.num_classes, h, w))
+    for lo in range(0, n, INFER_CHUNK):
+        out[lo:lo + INFER_CHUNK] = forward(model, x[lo:lo + INFER_CHUNK], cache=False)[0]
+    return out
+
+
+def _images(model: SegModel, x) -> np.ndarray:
+    """`x` as float64 [N,Cin,H,W] images for `model`; ModelError otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4 or x.shape[1] != model.config.in_channels:
+        raise ModelError(f"expected [N,{model.config.in_channels},H,W], got {x.shape}")
+    return x
 
 
 def backward(model: SegModel, dlogits: np.ndarray, cache) -> None:
@@ -175,20 +202,6 @@ def extend_for_increment(teacher: SegModel, new_classes: int, seed: int) -> SegM
         s.data *= NEW_ROW_SCALE
         s.data[:teacher.config.num_classes] = t.data
     return student
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file in the same directory
-    and `os.replace`: `path` holds either what it held before or all of
-    `data`, never a part."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save(model: SegModel, path) -> None:

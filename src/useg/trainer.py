@@ -131,19 +131,23 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def predict_labels(model: segnet.SegModel, image: np.ndarray) -> np.ndarray:
-    return segnet.forward(model, np.asarray(image)[None], cache=False)[0][0].argmax(axis=0)
+def predict_labels(model: segnet.SegModel, images: np.ndarray) -> np.ndarray:
+    """[N,Cin,H,W] images -> [N,H,W] argmax labels."""
+    return segnet.infer(model, images).argmax(axis=1)
 
 
 def evaluate(model: segnet.SegModel, samples, organs, cfg=None) -> EvalReport:
-    """Per-organ Dice of argmax predictions against full label maps."""
+    """Per-organ Dice of argmax predictions against full label maps, one
+    batched prediction over all samples."""
     organs = list(organs)
     if max(organs) >= model.config.num_classes:
         raise TrainError(f"organ id {max(organs)} out of range for "
                          f"{model.config.num_classes}-class model")
+    if not samples:
+        raise TrainError("no samples to evaluate")
     scores = {k: [] for k in organs}
-    for s in samples:
-        pred = predict_labels(model, s.image)
+    preds = predict_labels(model, np.stack([s.image for s in samples]))
+    for pred, s in zip(preds, samples):
         for k in organs:
             scores[k].append(dice(pred == k, s.labels == k))
     per_organ = {k: float(np.mean(v)) for k, v in scores.items()}
@@ -244,7 +248,7 @@ def distill_incremental(teacher: segnet.SegModel, new_samples, cfg: TrainConfig,
     smoothed = [losses.smooth_labels(s.labels, cfg.smooth_fg) for s in new_samples]
     images = np.stack([s.image for s in new_samples])
     # teacher is frozen, so its clean-image softmax per sample is a constant
-    teacher_probs = losses.softmax(segnet.forward(teacher, images, cache=False)[0])
+    teacher_probs = losses.softmax(segnet.infer(teacher, images))
 
     def weights(idx):
         s = new_samples[idx]
@@ -271,8 +275,9 @@ def distill_incremental(teacher: segnet.SegModel, new_samples, cfg: TrainConfig,
                 {key: v / n for key, v in logged.items()})
 
     def log_dice():
-        new_dice = [dice(predict_labels(student, s.image) == k_old + 1, s.labels == 1)
-                    for s in new_samples]
+        preds = predict_labels(student, images)
+        new_dice = [dice(pred == k_old + 1, s.labels == 1)
+                    for pred, s in zip(preds, new_samples)]
         return {f"dice_organ{k_old + 1}": float(np.mean(new_dice))}
 
     _fit(student, images, cfg.distill_epochs, rng, cfg, head, "loss_total", log_rows,

@@ -165,7 +165,7 @@ def uncertainty_map(teacher, image: np.ndarray, q: int,
     img = np.asarray(image, dtype=np.float64)
     copies = np.stack([apply_perturbation(img, sample_perturbation(rng, pool), rng)
                        for _ in range(q)])
-    mean = losses.softmax(segnet.forward(teacher, copies, cache=False)[0]).mean(axis=0)
+    mean = losses.softmax(segnet.infer(teacher, copies)).mean(axis=0)
     return UncertaintyMap(entropy_map(mean), num_classes=teacher.config.num_classes)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from useg import segnet
+from useg import phantom, segnet
 from useg.cli import main
 
 
@@ -169,6 +169,33 @@ class TestMalformedInput:
         result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
         assert_refused(result, out, before)
         assert "manifest" in result.stderr
+
+    @pytest.mark.parametrize("empty", ["train_indices", "test_indices"])
+    def test_empty_split(self, runner, generated, empty):
+        # refused before training: an empty train split leaves nothing to
+        # stack, an empty test split nothing to score
+        cfg_path, out = generated
+        manifest = out / "dataset" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        other = "test_indices" if empty == "train_indices" else "train_indices"
+        doc[other] = list(range(doc["num_samples"]))
+        doc[empty] = []
+        manifest.write_text(json.dumps(doc))
+        before = read_tree_bytes(out)
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert_refused(result, out, before)
+        assert "at least one sample" in result.stderr
+
+    def test_raster_of_wrong_size(self, runner, generated):
+        # refused while loading, before training stacks the images
+        cfg_path, out = generated
+        ds = out / "dataset"
+        phantom.image_to_pgm(np.zeros((8, 8)), ds / "images" / "0.pgm")
+        phantom.write_pgm(np.zeros((8, 8), dtype=np.int64), ds / "labels_full" / "0.pgm", 3)
+        before = read_tree_bytes(out)
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert_refused(result, out, before)
+        assert "images/0.pgm: raster is 8x8, but the manifest's size is 16" in result.stderr
 
 
 @pytest.fixture()

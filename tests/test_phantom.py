@@ -194,6 +194,8 @@ class TestDatasetIO:
         {"phantom": []},
         {"phantom": {"bogus": 1}},
         {"phantom": {"num_organs": "3"}},
+        {"train_indices": [], "test_indices": [0, 1, 2, 3, 4]},
+        {"train_indices": [0, 1, 2, 3, 4], "test_indices": []},
     ])
     def test_malformed_manifest_rejected(self, tmp_path, change):
         cfg = PhantomConfig(seed=5)
@@ -202,3 +204,23 @@ class TestDatasetIO:
         (tmp_path / "manifest.json").write_text(json.dumps({**doc, **change}))
         with pytest.raises(PhantomError, match="manifest"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("folder", ["images", "labels_full"])
+    def test_raster_of_wrong_size_rejected(self, tmp_path, folder):
+        cfg = PhantomConfig(seed=5)
+        write_dataset(tmp_path, cfg, generate_dataset(cfg, 5))
+        write_pgm(np.zeros((16, 16), dtype=np.int64), tmp_path / folder / "3.pgm", 3)
+        with pytest.raises(PhantomError, match=f"{folder}/3.pgm: raster is 16x16"):
+            load_dataset(tmp_path)
+
+    def test_manifest_write_failing_halfway_keeps_old_manifest(self, tmp_path, monkeypatch):
+        from test_segnet import fail_writes_halfway
+        cfg = PhantomConfig(seed=5)
+        write_dataset(tmp_path, cfg, generate_dataset(cfg, 5))
+        before = (tmp_path / "manifest.json").read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            write_dataset(tmp_path, cfg, generate_dataset(cfg, 6))
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert not list(tmp_path.glob(".manifest.json*"))
+        assert len(load_dataset(tmp_path)[1]) == 5

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from useg import segnet
+from useg import atomic, segnet
 from useg.autodiff import conv_forward
 from useg.losses import softmax
 from useg.segnet import (
@@ -21,8 +23,8 @@ def rng_for(seed):
 
 
 def logits(model, image):
-    """[Cin,H,W] image -> [C,H,W] logits, by the forward that keeps no cache."""
-    return segnet.forward(model, image[None], cache=False)[0][0]
+    """[Cin,H,W] image -> [C,H,W] logits, by the no-grad entry point."""
+    return segnet.infer(model, image[None])[0]
 
 
 class TestConfig:
@@ -117,6 +119,47 @@ class TestForward:
         model = init_random(SegModelConfig(num_classes=3), 0)
         with pytest.raises(ModelError):
             segnet.forward(model, np.zeros((1, 2, 4, 4)))
+
+
+def traced_peak(fn):
+    """(peak bytes tracemalloc saw while `fn` ran, its result)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+class TestInfer:
+    C = segnet.INFER_CHUNK
+
+    @pytest.mark.parametrize("n", sorted({1, C - 1, C, C + 1, 3 * C + 1} - {0}))
+    def test_bytes_equal_one_forward(self, n):
+        model = init_random(SegModelConfig(num_classes=4), 3)
+        imgs = rng_for(n).uniform(0, 1, (n, 1, 7, 5))
+        got = segnet.infer(model, imgs)
+        assert got.shape == (n, 4, 7, 5)
+        assert got.tobytes() == segnet.forward(model, imgs, cache=False)[0].tobytes()
+
+    def test_no_images(self):
+        model = init_random(SegModelConfig(num_classes=4), 0)
+        out = segnet.infer(model, np.zeros((0, 1, 6, 5)))
+        assert isinstance(out, np.ndarray) and out.shape == (0, 4, 6, 5)
+        with pytest.raises(ModelError):
+            segnet.infer(model, np.zeros((0, 2, 6, 5)))
+
+    def test_working_set_does_not_grow_with_n(self):
+        # the peak beyond the output is one chunk's, however many images:
+        # one forward over all 64 would hold 64 images' unfolded inputs
+        model = init_random(SegModelConfig(num_classes=4), 0)
+        many = rng_for(5).uniform(0, 1, (64, 1, 32, 32))
+        few = many[:self.C].copy()
+        segnet.infer(model, few)  # fill the tap caches outside the traces
+        peak_few, _ = traced_peak(lambda: segnet.infer(model, few))
+        peak_many, out = traced_peak(lambda: segnet.infer(model, many))
+        assert peak_many - out.nbytes <= peak_few + 64 * 1024
 
 
 class TestExtend:
@@ -224,11 +267,12 @@ class HalfWriter:
 
 
 def fail_writes_halfway(monkeypatch):
-    """Make every file `segnet` opens for writing take half a write, then fail."""
+    """Make every file `write_atomic` opens for writing take half a write,
+    then fail."""
     def half_open(path, mode):
         return HalfWriter(open(path, mode)) if "w" in mode else open(path, mode)
 
-    monkeypatch.setattr(segnet, "open", half_open, raising=False)
+    monkeypatch.setattr(atomic, "open", half_open, raising=False)
 
 
 class TestAtomicSave:
@@ -256,7 +300,7 @@ class TestAtomicSave:
         def no_replace(src, dst):
             raise OSError("replace failed")
 
-        monkeypatch.setattr(segnet.os, "replace", no_replace)
+        monkeypatch.setattr(atomic.os, "replace", no_replace)
         with pytest.raises(OSError):
             save(init_random(SegModelConfig(num_classes=3), 1), path)
         assert path.read_bytes() == before

@@ -6,7 +6,7 @@ import pytest
 import composed_losses as composed
 from graph import Tensor
 from useg import losses, phantom, segnet, trainer, uncertainty
-from useg.trainer import Adam, TrainConfig, TrainError, dice, evaluate
+from useg.trainer import Adam, TrainConfig, TrainError, dice, evaluate, predict_labels
 
 
 def rng_for(seed):
@@ -137,6 +137,23 @@ class TestEvaluate:
         model = segnet.init_random(segnet.SegModelConfig(num_classes=3), 1)
         with pytest.raises(TrainError):
             evaluate(model, samples, [5])
+
+    def test_no_samples(self):
+        model = segnet.init_random(segnet.SegModelConfig(num_classes=3), 1)
+        with pytest.raises(TrainError, match="no samples"):
+            evaluate(model, [], [1, 2])
+
+    def test_batched_equals_image_by_image(self, tiny_phantoms):
+        # the batched prediction scores each sample as a one-image forward does
+        _, samples = tiny_phantoms
+        model = segnet.init_random(segnet.SegModelConfig(num_classes=3), 2)
+        preds = [segnet.forward(model, s.image[None], cache=False)[0][0].argmax(axis=0)
+                 for s in samples]
+        assert np.array_equal(predict_labels(model, np.stack([s.image for s in samples])),
+                              np.stack(preds))
+        want = {k: float(np.mean([dice(p == k, s.labels == k)
+                                  for p, s in zip(preds, samples)])) for k in (1, 2)}
+        assert evaluate(model, samples, [1, 2]).per_organ == want
 
 
 class TestTrainConfig:
