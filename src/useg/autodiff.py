@@ -119,10 +119,10 @@ def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
 
 
 def conv_backward(g: np.ndarray, x: np.ndarray, kernel: np.ndarray, cols,
-                  need_x: bool, need_kernel: bool):
+                  need_x: bool):
     """Input and kernel gradients of `conv_forward` given the output
-    gradient g [N,Cout,H,W] and the `cols` it returned; each is None when
-    not needed. The kernel gradient is summed over N.
+    gradient g [N,Cout,H,W] and the `cols` it returned; the input gradient
+    is None when not needed. The kernel gradient is summed over N.
 
     Input side: dW = g @ colsᵀ, dx = col2im(Wᵀ @ g). Output side: the
     output gradient is unfolded instead (Cout·k² rows), dW = im2col(g) @ xᵀ
@@ -131,18 +131,16 @@ def conv_backward(g: np.ndarray, x: np.ndarray, kernel: np.ndarray, cols,
     cout, cin, k, _ = kernel.shape
     n, _, h, w = x.shape
     wmat = _gemm_weights(kernel)
-    gx = gk = None
+    gx = None
     if cols is not None:
         g = g.reshape(n, cout, h * w)
-        if need_kernel:
-            gk = _batch_gemm_nt(g, cols).reshape(kernel.shape)
+        gk = _batch_gemm_nt(g, cols).reshape(kernel.shape)
         if need_x:
             gx = _col2im(wmat.T @ g, x.shape, k)
     else:
         gcols = _im2col(g, k)
-        if need_kernel:
-            gw = _batch_gemm_nt(gcols, x.reshape(n, cin, h * w))
-            gk = gw.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        gw = _batch_gemm_nt(gcols, x.reshape(n, cin, h * w))
+        gk = gw.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if need_x:
             gx = (wmat.T @ gcols).reshape(x.shape)
     return gx, gk

@@ -226,7 +226,7 @@ def distill(config_path, seed, out, teacher_path, uncertainty_mode):
         report = trainer.evaluate(student, [samples[i] for i in test_idx],
                                   range(1, cfg.scenario.new_organ + 1), cfg)
         write_atomic(out_dir / "eval_report.json",
-                     (json.dumps(report.to_dict(), indent=2) + "\n").encode())
+                     (json.dumps(dataclasses.asdict(report), indent=2) + "\n").encode())
         _write_csv(out_dir / "eval_report.csv",
                    [{"organ": k, "dice": v} for k, v in sorted(report.per_organ.items())]
                    + [{"organ": "mean", "dice": report.mean_dice}])
@@ -303,18 +303,16 @@ def full_objective_gradcheck(seed: int, h: float = 1e-5):
     k_old = 2
     cfg = segnet.SegModelConfig(num_classes=k_old + 2, hidden=(2, 3))
     student = segnet.init_random(cfg, seed)
-    image = rng.uniform(0.0, 1.0, size=(1, 6, 6))
-    teacher_probs = rng.dirichlet(np.ones(k_old + 1), size=(6, 6)).transpose(2, 0, 1)
-    u = rng.uniform(0.0, np.log(k_old + 1), size=(6, 6))
-    hard = (rng.random((6, 6)) < 0.3).astype(np.int64)
-    smoothed = losses.smooth_labels(hard)
-    lam1, lam2, lam3 = 1.0, 20.0, 20.0
+    images = rng.uniform(0.0, 1.0, size=(1, 1, 6, 6))
+    teacher_probs = rng.dirichlet(np.ones(k_old + 1), size=(1, 6, 6)).transpose(0, 3, 1, 2)
+    u = rng.uniform(0.0, np.log(k_old + 1), size=(1, 6, 6))
+    smoothed = losses.smooth_labels((rng.random((1, 6, 6)) < 0.3).astype(np.int64))
 
     def objective():
-        logits, cache = segnet.forward(student, image[None])
-        total, dlogits, _, _ = losses.distill_loss(logits[0], teacher_probs, u, smoothed,
-                                                   k_old, lam1, lam2, lam3)
-        return total, dlogits[None], cache
+        logits, cache = segnet.forward(student, images)
+        total, dlogits, _, _ = losses.distill_loss(logits, teacher_probs, u, smoothed,
+                                                   k_old, 1.0, 20.0, 20.0)
+        return total, dlogits, cache
 
     _, dlogits, cache = objective()
     segnet.backward(student, dlogits, cache)

@@ -47,15 +47,24 @@ class ExperimentConfig:
             raise ConfigError("scenario.new_organ exceeds phantom.num_organs")
 
 
-# JSON types accepted for a field, by its annotation; a tuple field is a list
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "tuple": (list,)}
+# JSON types accepted for a field, by its annotation
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _check_type(name: str, value, annotation: str):
-    accepted = _JSON_TYPES[annotation]
+    """A tuple field is a list of one item type: "tuple[float, float]" of
+    that length, "tuple[int, ...]" of any length."""
+    items = annotation[6:-1].split(", ") if annotation.startswith("tuple[") else None
+    if items is None:
+        ok = isinstance(value, _JSON_TYPES[annotation])
+    else:
+        ok = isinstance(value, list) and (items[-1] == "..." or len(value) == len(items))
     # bool is an int subclass, but `true` is not a number
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) or not ok:
         raise ConfigError(f"{name}: expected {annotation}, got {json.dumps(value)}")
+    if items is not None:
+        for i, item in enumerate(value):
+            _check_type(f"{name}[{i}]", item, items[0])
 
 
 def _build(cls, payload: dict, prefix: str, derived: dict | None = None):
@@ -72,7 +81,7 @@ def _build(cls, payload: dict, prefix: str, derived: dict | None = None):
     fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
     try:
         return cls(**fixed, **derived)
-    except (TypeError, PhantomError, TrainError, PerturbationError, ModelError,
+    except (TypeError, ValueError, PhantomError, TrainError, PerturbationError, ModelError,
             ConfigError) as e:
         raise ConfigError(f"{prefix}: {e}") from e
 
@@ -94,6 +103,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
     _check_type("seed", seed, "int")
     num_samples = doc.get("num_samples", 100)
     _check_type("num_samples", num_samples, "int")
+    _check_type("out_dir", doc["out_dir"], "str")
 
     scenario = _build(Scenario, doc["scenario"], "scenario")
     model = None
@@ -111,7 +121,7 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         pool=_build(PoolConfig, doc.get("pool", {}), "pool"),
         model=model,
         num_samples=num_samples,
-        out_dir=str(doc["out_dir"]),
+        out_dir=doc["out_dir"],
         seed=seed,
     )
 

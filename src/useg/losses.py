@@ -1,8 +1,9 @@
 """The two training heads on plain arrays, and the probability transforms.
 
-Each head takes logits and returns the loss with its closed-form gradient
-with respect to the logits. All losses reduce by mean over pixels so that
-the loss weights are resolution-independent. Probabilities are clamped at
+Each head takes a minibatch of [N,C,H,W] logits and returns the mean loss
+over its images with the closed-form gradient with respect to the logits.
+Each image's loss is a mean over its pixels, so that the loss weights are
+resolution-independent. Probabilities are clamped at
 ``PROB_EPS`` before any log, and where a clamp is active no gradient flows
 through it. Teacher/target probabilities are constants; gradient flows
 only into the student prediction. The same losses composed from graph ops
@@ -67,68 +68,73 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def remap_old(p: np.ndarray, num_old_organs: int) -> np.ndarray:
-    """Fold the new-organ channel into background: [K+2,H,W] -> [K+1,H,W].
+    """Fold the new-organ channel into background along the channel axis
+    (-3): [..., K+2, H, W] -> [..., K+1, H, W].
 
     Channels 1..K are copied; channel 0 becomes 1 - sum(channels 1..K),
     i.e. p(0) + p(K+1).
     """
     k = num_old_organs
-    if p.shape[0] != k + 2:
-        raise LossError(f"remap_old expects {k + 2} channels, got {p.shape[0]}")
-    organs = p[1:k + 1]
-    return np.concatenate([1.0 - organs.sum(axis=0, keepdims=True), organs])
+    if p.shape[-3] != k + 2:
+        raise LossError(f"remap_old expects {k + 2} channels, got {p.shape[-3]}")
+    organs = p[..., 1:k + 1, :, :]
+    return np.concatenate([1.0 - organs.sum(axis=-3, keepdims=True), organs], axis=-3)
 
 
 def remap_new(p: np.ndarray, num_old_organs: int) -> np.ndarray:
-    """Fold background and all old organs together: [K+2,H,W] -> [2,H,W]."""
+    """Fold background and all old organs together along the channel axis
+    (-3): [..., K+2, H, W] -> [..., 2, H, W]."""
     k = num_old_organs
-    if p.shape[0] != k + 2:
-        raise LossError(f"remap_new expects {k + 2} channels, got {p.shape[0]}")
-    return np.concatenate([p[:k + 1].sum(axis=0, keepdims=True), p[k + 1:k + 2]])
+    if p.shape[-3] != k + 2:
+        raise LossError(f"remap_new expects {k + 2} channels, got {p.shape[-3]}")
+    return np.concatenate([p[..., :k + 1, :, :].sum(axis=-3, keepdims=True),
+                           p[..., k + 1:, :, :]], axis=-3)
 
 
 def smooth_labels(hard: np.ndarray, fg: float = 0.7) -> np.ndarray:
-    """Binary label map -> [2,H,W] smoothed targets (fg/1-fg)."""
+    """Binary label maps [..., H, W] -> [..., 2, H, W] targets (fg/1-fg)."""
     hard = np.asarray(hard)
     if not np.isin(hard, (0, 1)).all():
         raise LossError("smooth_labels expects a binary label map")
     bg = 1.0 - fg
-    out = np.empty((2,) + hard.shape)
-    out[0] = np.where(hard == 1, bg, fg)
-    out[1] = np.where(hard == 1, fg, bg)
-    return out
+    return np.stack([np.where(hard == 1, bg, fg), np.where(hard == 1, fg, bg)], axis=-3)
 
 
 def distill_loss(logits: np.ndarray, p_t, u: np.ndarray, smoothed, num_old_organs: int,
                  lambda1: float, lambda2: float, lambda3: float):
-    """The distillation head for one image's [K+2,H,W] logits.
+    """The distillation head for a minibatch of [N,K+2,H,W] logits, with
+    [N,K+1,H,W] teacher probabilities p_t, [N,H,W] weights u and [N,2,H,W]
+    smoothed labels g.
 
     With p = softmax(logits), q_old = remap_old(p) and q_new = remap_new(p),
-    each clamped at PROB_EPS before its log, the loss is the mean over
-    pixels of
+    each clamped at PROB_EPS before its log, an image's loss is the mean
+    over its pixels of
         u * [l1 * -log q_old[argmax p_t] + l2 * KL(p_t || q_old)]
         + l3 * KL(q_new, g)
-    (the new-task KL in the paper's literal prediction-first order, g the
-    smoothed labels). The backward is closed form: with g_p = dL/dp,
-    dL/dlogits = p * (g_p - <g_p, p>). When l1 = l2 = 0 the old-task term
-    is skipped and l_old is 0.0, which is what computing it would give.
+    (the new-task KL in the paper's literal prediction-first order). The
+    backward is closed form: with g_p = dL/dp, dL/dlogits = p * (g_p -
+    <g_p, p>). When l1 = l2 = 0 the old-task term is skipped and l_old is
+    0.0, which is what computing it would give.
 
-    Returns (total, dlogits, l_old, l_new): the loss, its gradient with
-    respect to the logits, and the two terms as floats.
+    Returns (total, dlogits, l_old, l_new): the minibatch means of the loss
+    and of its two terms, each a float summed image by image in order, and
+    the gradient of the mean loss with respect to the logits.
     """
     if min(lambda1, lambda2, lambda3) < 0:
         raise LossError("loss weights must be nonnegative")
     k = num_old_organs
+    n = len(logits)
     p = softmax(logits)
     q_new = remap_new(p, k)
     t = np.asarray(p_t, dtype=np.float64)
     g = np.asarray(smoothed, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if t.shape != (k + 1,) + p.shape[1:]:
+    pixels = (n,) + p.shape[2:]
+    if t.shape != (n, k + 1) + p.shape[2:]:
         raise LossError(f"teacher probabilities {t.shape} do not match the old-task "
-                        f"remap {(k + 1,) + p.shape[1:]}")
-    if u.shape != t.shape[1:]:
-        raise LossError(f"weight map shape {u.shape} does not match pixels {t.shape[1:]}")
+                        f"remap {(n, k + 1) + p.shape[2:]}")
+    if u.shape != pixels:
+        raise LossError(f"weight map shape {u.shape} does not match pixels {pixels}")
     if (u < 0).any():
         raise LossError("negative uncertainty weights")
     if g.shape != q_new.shape:
@@ -139,26 +145,29 @@ def distill_loss(logits: np.ndarray, p_t, u: np.ndarray, smoothed, num_old_organ
 
     log_ratio = np.log(np.maximum(q_new, PROB_EPS)) - np.log(g)
     npix = _npix(g.shape)
-    l_new = float((q_new * log_ratio).sum() / npix)
+    l_new = (q_new * log_ratio).sum(axis=(1, 2, 3)) / npix
     # dL/dp; the new-task background sums channels 0..K. Added onto zeros,
     # which turns -0.0 into 0.0 as adding a zero old-task term would.
     d_new = lambda3 * (log_ratio + (q_new > PROB_EPS)) / npix
     grad_p = np.zeros_like(p)
-    grad_p[:k + 1] += d_new[0]
-    grad_p[k + 1] += d_new[1]
+    grad_p[:, :k + 1] += d_new[:, :1]
+    grad_p[:, k + 1] += d_new[:, 1]
 
-    l_old = 0.0
+    l_old = np.zeros(n)
     if lambda1 or lambda2:
         q_old = remap_old(p, k)
         clamped = np.maximum(q_old, PROB_EPS)
         logq = np.log(clamped)
-        hard = one_hot(t.argmax(axis=0), k + 1)
-        ce_map = -(hard * logq).sum(axis=0)
-        kl_map = _xlogx(t).sum(axis=0) - (t * logq).sum(axis=0)
-        l_old = float((u * (lambda1 * ce_map + lambda2 * kl_map)).sum() / u.size)
-        d_old = -(u / u.size) * (lambda1 * hard + lambda2 * t) * (q_old > PROB_EPS) / clamped
+        hard = one_hot(t.argmax(axis=1), k + 1, axis=1)
+        ce_map = -(hard * logq).sum(axis=1)
+        kl_map = _xlogx(t).sum(axis=1) - (t * logq).sum(axis=1)
+        l_old = (u * (lambda1 * ce_map + lambda2 * kl_map)).sum(axis=(1, 2)) / npix
+        d_old = (-(u / npix)[:, None] * (lambda1 * hard + lambda2 * t)
+                 * (q_old > PROB_EPS) / clamped)
         # the old background is 1 - sum(organs): each organ also moves it
-        grad_p[1:k + 1] += d_old[1:] - d_old[0]
+        grad_p[:, 1:k + 1] += d_old[:, 1:] - d_old[:, :1]
 
-    dlogits = p * (grad_p - (grad_p * p).sum(axis=0, keepdims=True))
-    return l_old + lambda3 * l_new, dlogits, l_old, l_new
+    dlogits = p * (grad_p - (grad_p * p).sum(axis=1, keepdims=True))
+    total = l_old + lambda3 * l_new
+    return (float(sum(total) / n), dlogits * (1.0 / n),
+            float(sum(l_old) / n), float(sum(l_new) / n))

@@ -31,10 +31,10 @@ class PgmError(PhantomError):
 class PhantomConfig:
     size: int = 32
     num_organs: int = 3
-    organ_means: tuple = (0.35, 0.6, 0.85)
+    organ_means: tuple[float, ...] = (0.35, 0.6, 0.85)
     background_mean: float = 0.1
     noise_sigma: float = 0.03
-    radius_range: tuple = (2.5, 5.0)
+    radius_range: tuple[float, float] = (2.5, 5.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -44,6 +44,11 @@ class PhantomConfig:
             raise PhantomError("organ_means length must equal num_organs")
         if self.radius_range[0] < 1.7:
             raise PhantomError("minimum radius too small for the 9-pixel organ floor")
+        if self.radius_range[0] > self.radius_range[1]:
+            raise PhantomError("radius_range: lo > hi")
+        if self.size < 2 * self.radius_range[1] + 1:
+            raise PhantomError(f"size {self.size} cannot place an organ of radius up to "
+                               f"{self.radius_range[1]}: need at least 2·radius + 1")
         object.__setattr__(self, "organ_means", tuple(self.organ_means))
         object.__setattr__(self, "radius_range", tuple(self.radius_range))
 
@@ -258,7 +263,7 @@ def load_dataset(root) -> tuple:
     try:
         cfg = PhantomConfig(**{k: tuple(v) if isinstance(v, list) else v
                                for k, v in manifest["phantom"].items()})
-    except TypeError as e:
+    except (TypeError, IndexError, PhantomError) as e:
         raise PhantomError(f"manifest phantom section is invalid: {e}") from e
     samples = []
     for i in range(manifest["num_samples"]):

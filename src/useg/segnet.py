@@ -41,7 +41,7 @@ class TruncatedFileError(ModelError):
 class SegModelConfig:
     num_classes: int
     in_channels: int = 1
-    hidden: tuple = (8, 16)
+    hidden: tuple[int, ...] = (8, 16)
     kernel_size: int = 3
 
     def __post_init__(self):
@@ -159,7 +159,7 @@ def backward(model: SegModel, dlogits: np.ndarray, cache) -> None:
         kern, bias = model.layers[li]
         x, cols = cache[li]
         bias.grad[...] = g.sum(axis=(0, 2, 3))
-        gx, gk = conv_backward(g, x, kern.data, cols, li > 0, True)
+        gx, gk = conv_backward(g, x, kern.data, cols, li > 0)
         kern.grad[...] = gk
         if li > 0:
             g = gx * (x > 0.0)  # ReLU: x is the previous layer's output

@@ -111,14 +111,6 @@ class EvalReport:
     num_samples: int
     config_hash: str
 
-    def to_dict(self):
-        return {
-            "per_organ": {str(k): v for k, v in self.per_organ.items()},
-            "mean_dice": self.mean_dice,
-            "num_samples": self.num_samples,
-            "config_hash": self.config_hash,
-        }
-
 
 def config_hash(cfg) -> str:
     """Identity of an experiment's settings. `out_dir` only says where a
@@ -245,34 +237,26 @@ def distill_incremental(teacher: segnet.SegModel, new_samples, cfg: TrainConfig,
     student = segnet.extend_for_increment(teacher, 1, cfg.seed)
     # one stream feeds both the shuffle and the perturbation draws
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
-    smoothed = [losses.smooth_labels(s.labels, cfg.smooth_fg) for s in new_samples]
     images = np.stack([s.image for s in new_samples])
+    smoothed = losses.smooth_labels(np.stack([s.labels for s in new_samples]), cfg.smooth_fg)
     # teacher is frozen, so its clean-image softmax per sample is a constant
     teacher_probs = losses.softmax(segnet.infer(teacher, images))
 
-    def weights(idx):
-        s = new_samples[idx]
-        if cfg.uncertainty_mode == "off":
-            return np.ones_like(s.labels, dtype=np.float64), 1.0
-        umap = uncertainty.uncertainty_map(teacher, s.image, cfg.ensemble_size, rng, pool)
-        u = uncertainty.weight_from_uncertainty(umap, cfg.uncertainty_mode)
-        return u, float(umap.values.mean())
-
     def head(batch, logits):
-        # per image, in minibatch order: the maps draw from `rng` in turn
-        total, dlogits = 0.0, np.empty_like(logits)
-        logged = dict.fromkeys(("loss_old", "loss_new", "mean_u"), 0.0)
-        for i, idx in enumerate(batch):
-            u, mean_u = weights(idx)
-            loss, dlogits[i], l_old, l_new = losses.distill_loss(
-                logits[i], teacher_probs[idx], u, smoothed[idx], k_old,
-                cfg.lambda1, cfg.lambda2, cfg.lambda3)
-            total += loss
-            for key, v in zip(logged, (l_old, l_new, mean_u)):
-                logged[key] += v
         n = len(batch)
-        return (total / n, dlogits * (1.0 / n),
-                {key: v / n for key, v in logged.items()})
+        if cfg.uncertainty_mode == "off":
+            u, mean_u = np.ones((n,) + logits.shape[2:]), 1.0
+        else:
+            entropy = uncertainty.uncertainty_map(teacher, images[batch], cfg.ensemble_size,
+                                                  rng, pool)
+            u = uncertainty.weight_from_uncertainty(entropy, k_old + 1,
+                                                    cfg.uncertainty_mode)
+            # summed image by image, in order, as the losses are
+            mean_u = float(sum(entropy.mean(axis=(1, 2))) / n)
+        loss, dlogits, l_old, l_new = losses.distill_loss(
+            logits, teacher_probs[batch], u, smoothed[batch], k_old,
+            cfg.lambda1, cfg.lambda2, cfg.lambda3)
+        return loss, dlogits, {"loss_old": l_old, "loss_new": l_new, "mean_u": mean_u}
 
     def log_dice():
         preds = predict_labels(student, images)

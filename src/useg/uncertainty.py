@@ -41,10 +41,10 @@ class PerturbationSpec:
 @dataclass(frozen=True)
 class PoolConfig:
     p_include: float = 0.5
-    contrast_range: tuple = (0.75, 1.25)
-    brightness_range: tuple = (-0.1, 0.1)
-    blur_sigma_range: tuple = (0.5, 1.5)
-    noise_sigma_range: tuple = (0.0, 0.05)
+    contrast_range: tuple[float, float] = (0.75, 1.25)
+    brightness_range: tuple[float, float] = (-0.1, 0.1)
+    blur_sigma_range: tuple[float, float] = (0.5, 1.5)
+    noise_sigma_range: tuple[float, float] = (0.0, 0.05)
 
     def __post_init__(self):
         if not 0.0 < self.p_include <= 1.0:
@@ -141,43 +141,36 @@ def apply_perturbation(image: np.ndarray, specs,
     return x
 
 
-@dataclass
-class UncertaintyMap:
-    values: np.ndarray  # [H,W] per-pixel entropy
-    num_classes: int
-
-    @property
-    def max_entropy(self) -> float:
-        return float(np.log(self.num_classes))
-
-
 def entropy_map(mean_probs: np.ndarray) -> np.ndarray:
-    """Per-pixel entropy of a [C,H,W] probability map."""
-    return np.maximum(-losses._xlogx(np.asarray(mean_probs)).sum(axis=0), 0.0)
+    """Per-pixel entropy of [..., C, H, W] probability maps."""
+    return np.maximum(-losses._xlogx(np.asarray(mean_probs)).sum(axis=-3), 0.0)
 
 
-def uncertainty_map(teacher, image: np.ndarray, q: int,
+def uncertainty_map(teacher, images: np.ndarray, q: int,
                     rng: np.random.Generator,
-                    pool: PoolConfig = PoolConfig()) -> UncertaintyMap:
-    """Entropy of the mean teacher softmax over q perturbed copies."""
+                    pool: PoolConfig = PoolConfig()) -> np.ndarray:
+    """[B,H,W] entropy of the mean teacher softmax over q perturbed copies
+    of each of the [B,Cin,H,W] images. The copies are drawn from `rng`
+    image by image, in order; one `infer` runs all B·q of them."""
     if q < 1:
         raise PerturbationError("Q must be >= 1")
-    img = np.asarray(image, dtype=np.float64)
     copies = np.stack([apply_perturbation(img, sample_perturbation(rng, pool), rng)
-                       for _ in range(q)])
-    mean = losses.softmax(segnet.infer(teacher, copies)).mean(axis=0)
-    return UncertaintyMap(entropy_map(mean), num_classes=teacher.config.num_classes)
+                       for img in np.asarray(images, dtype=np.float64) for _ in range(q)])
+    probs = losses.softmax(segnet.infer(teacher, copies))
+    return entropy_map(probs.reshape((-1, q) + probs.shape[1:]).mean(axis=1))
 
 
 WEIGHT_MODES = ("as-paper", "normalized", "confidence")
 
 
-def weight_from_uncertainty(u: UncertaintyMap, mode: str = "as-paper") -> np.ndarray:
-    """Turn raw entropies into per-pixel old-task loss weights."""
+def weight_from_uncertainty(entropy: np.ndarray, num_classes: int,
+                            mode: str = "as-paper") -> np.ndarray:
+    """Turn raw entropies into per-pixel old-task loss weights; the
+    largest entropy of `num_classes` classes is log C."""
     if mode == "as-paper":
-        return u.values.copy()
+        return entropy.copy()
     if mode == "normalized":
-        return u.values / u.max_entropy
+        return entropy / np.log(num_classes)
     if mode == "confidence":
-        return 1.0 - u.values / u.max_entropy
+        return 1.0 - entropy / np.log(num_classes)
     raise PerturbationError(f"unknown uncertainty weight mode {mode!r}")

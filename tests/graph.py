@@ -233,8 +233,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias.grad += out.grad.sum(axis=(1, 2))
         gx, gk = conv_backward(out.grad[None], x.data[None], kernel.data, cols,
-                               x.requires_grad, kernel.requires_grad)
-        if gk is not None:
+                               x.requires_grad)
+        if kernel.requires_grad:
             kernel.grad += gk
         if gx is not None:
             x.grad += gx[0]

@@ -234,11 +234,11 @@ class TestBackward:
         bias = rng.uniform(-1, 1, cout)
         g = rng.uniform(-1, 1, (3, cout, h, w))
         out, cols = conv_forward(x, kern, bias)
-        gx, gk = conv_backward(g, x, kern, cols, True, True)
+        gx, gk = conv_backward(g, x, kern, cols, True)
         gk_sum = np.zeros_like(kern)
         for i in range(3):
             out_i, cols_i = conv_forward(x[i:i + 1], kern, bias)
-            gx_i, gk_i = conv_backward(g[i:i + 1], x[i:i + 1], kern, cols_i, True, True)
+            gx_i, gk_i = conv_backward(g[i:i + 1], x[i:i + 1], kern, cols_i, True)
             assert np.abs(out_i - out[i:i + 1]).max() < 1e-12
             assert np.abs(gx_i - gx[i:i + 1]).max() < 1e-12
             gk_sum += gk_i

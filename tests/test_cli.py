@@ -186,6 +186,36 @@ class TestMalformedInput:
         assert_refused(result, out, before)
         assert "at least one sample" in result.stderr
 
+    @pytest.mark.parametrize("section, value, field", [
+        ("pool", {"contrast_range": [1]}, "pool.contrast_range"),
+        ("phantom", {"radius_range": [3]}, "phantom.radius_range"),
+        ("phantom", {"organ_means": ["a", "b", "c"]}, "phantom.organ_means[0]"),
+        ("phantom", {"size": 8}, "phantom: size 8"),
+        ("model", {"hidden": [8.5]}, "model.hidden[0]"),
+    ], ids=["contrast_range", "radius_range", "organ_means", "size", "hidden"])
+    def test_config_value_refused_before_any_work(self, runner, generated, section,
+                                                  value, field):
+        # each ended in a traceback from the constructors, `generate` or
+        # `init_random`; now the config parse refuses it in every command
+        cfg_path, out = generated
+        doc = json.loads(cfg_path.read_text())
+        doc[section] = value
+        cfg_path.write_text(json.dumps(doc))
+        before = read_tree_bytes(out)
+        for command in ("generate", "train-teacher"):
+            result = runner.invoke(main, [command, "--config", str(cfg_path)])
+            assert_refused(result, out, before)
+            assert f"error: {field}" in result.stderr
+
+    def test_out_dir_not_a_string(self, runner, tmp_path):
+        # once taken as the directory "7" under the working directory
+        cfg_path, _ = make_config(tmp_path)
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "out_dir": 7}))
+        with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+            result = runner.invoke(main, ["generate", "--config", str(cfg_path)])
+            assert_refused(result, Path(cwd), {})
+        assert "error: out_dir: expected str, got 7" in result.stderr
+
     def test_raster_of_wrong_size(self, runner, generated):
         # refused while loading, before training stacks the images
         cfg_path, out = generated
@@ -344,6 +374,24 @@ class TestEvaluate:
                                       "--weights", str(out / "teacher.useg")])
         assert result.exit_code == 0, result.output
         assert "mean:" in result.output
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "--weights"),
+                                           ("distill", "--teacher")])
+def test_nan_weights_rejected(runner, trained, tmp_path, command, flag):
+    # a weight file that holds a NaN is a runtime error, not a traceback
+    cfg_path, out = trained
+    model = segnet.load(out / "teacher.useg")
+    model.flat[3] = np.nan
+    bad = tmp_path / "nan.useg"
+    segnet.save(model, bad)
+    before = read_tree_bytes(out)
+    result = runner.invoke(main, [command, "--config", str(cfg_path), flag, str(bad)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "error: non-finite values in a parameter" in result.stderr.splitlines()
+    assert read_tree_bytes(out) == before
 
 
 class TestGradcheck:

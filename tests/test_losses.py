@@ -102,34 +102,37 @@ class TestCrossEntropy:
             composed.cross_entropy_hard(np.array([[5]]), Tensor(np.ones((2, 1, 1)) / 2))
 
 
+def pixel(values):
+    """One image of one pixel, [1,C,1,1], with the channel values given."""
+    return np.asarray(values, dtype=float).reshape(1, -1, 1, 1)
+
+
 class TestRemaps:
+    # the remaps fold the channel axis -3 of a [N,C,H,W] minibatch
     def test_remap_old_pixel_arithmetic(self):
-        p = np.array([0.1, 0.4, 0.3, 0.2]).reshape(4, 1, 1)
-        out = losses.remap_old(p, 2)[:, 0, 0]
+        out = losses.remap_old(pixel([0.1, 0.4, 0.3, 0.2]), 2)[0, :, 0, 0]
         assert np.allclose(out, [0.3, 0.4, 0.3], atol=1e-12)
 
     def test_remap_old_onehot_new_class(self):
-        p = np.array([0.0, 0.0, 0.0, 1.0]).reshape(4, 1, 1)
-        assert np.allclose(losses.remap_old(p, 2)[:, 0, 0], [1, 0, 0])
+        assert np.allclose(losses.remap_old(pixel([0, 0, 0, 1]), 2)[0, :, 0, 0], [1, 0, 0])
 
     def test_remap_old_uniform(self):
-        p = np.full((4, 1, 1), 0.25)
-        assert np.allclose(losses.remap_old(p, 2)[:, 0, 0], [0.5, 0.25, 0.25])
+        p = pixel([0.25] * 4)
+        assert np.allclose(losses.remap_old(p, 2)[0, :, 0, 0], [0.5, 0.25, 0.25])
 
     def test_remap_new_pixel_arithmetic(self):
-        p = np.array([0.1, 0.4, 0.3, 0.2]).reshape(4, 1, 1)
-        assert np.allclose(losses.remap_new(p, 2)[:, 0, 0], [0.8, 0.2], atol=1e-12)
+        p = pixel([0.1, 0.4, 0.3, 0.2])
+        assert np.allclose(losses.remap_new(p, 2)[0, :, 0, 0], [0.8, 0.2], atol=1e-12)
 
     def test_remap_new_onehot(self):
-        p = np.array([0.0, 0.0, 0.0, 1.0]).reshape(4, 1, 1)
-        assert np.allclose(losses.remap_new(p, 2)[:, 0, 0], [0.0, 1.0])
+        assert np.allclose(losses.remap_new(pixel([0, 0, 0, 1]), 2)[0, :, 0, 0], [0.0, 1.0])
 
     def test_remap_new_uniform(self):
-        p = np.full((4, 1, 1), 0.25)
-        assert np.allclose(losses.remap_new(p, 2)[:, 0, 0], [0.75, 0.25])
+        p = pixel([0.25] * 4)
+        assert np.allclose(losses.remap_new(p, 2)[0, :, 0, 0], [0.75, 0.25])
 
     def test_channel_count_checked(self):
-        p = np.full((3, 1, 1), 1 / 3)
+        p = pixel([1 / 3] * 3)
         with pytest.raises(losses.LossError):
             losses.remap_old(p, 2)
         with pytest.raises(losses.LossError):
@@ -139,17 +142,17 @@ class TestRemaps:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(1, 4))
     def test_remaps_preserve_simplex(self, seed, k):
         rng = np.random.Generator(np.random.PCG64(seed))
-        p = random_probmap(rng, k + 2)
+        p = np.stack([random_probmap(rng, k + 2) for _ in range(3)])
         old = losses.remap_old(p, k)
         new = losses.remap_new(p, k)
         for out in (old, new):
             assert (out >= -1e-12).all()
-            assert np.abs(out.sum(axis=0) - 1.0).max() < 1e-9
+            assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
         # channels 1..K copied exactly; backgrounds recombine exactly
-        assert np.array_equal(old[1:], p[1:k + 1])
-        assert np.abs(old[0] - (p[0] + p[k + 1])).max() < 1e-12
-        assert np.array_equal(new[1], p[k + 1])
-        assert np.abs(new.sum(axis=0) - 1.0).max() < 1e-12
+        assert np.array_equal(old[:, 1:], p[:, 1:k + 1])
+        assert np.abs(old[:, 0] - (p[:, 0] + p[:, k + 1])).max() < 1e-12
+        assert np.array_equal(new[:, 1], p[:, k + 1])
+        assert np.abs(new.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestSmoothLabels:
@@ -171,6 +174,11 @@ class TestSmoothLabels:
     def test_nonbinary_rejected(self):
         with pytest.raises(losses.LossError):
             losses.smooth_labels(np.array([[2]]))
+
+    def test_minibatch_stacks_images(self):
+        hard = np.random.Generator(np.random.PCG64(7)).integers(0, 2, (3, 4, 5))
+        want = np.stack([losses.smooth_labels(h, 0.8) for h in hard])
+        assert losses.smooth_labels(hard, 0.8).tobytes() == want.tobytes()
 
 
 class TestLossOld:
@@ -252,8 +260,9 @@ class _ZeroNotFalse(float):
 
 
 def distill_case(seed, std=1.0):
-    """Random inputs of `distill_loss`: logits of the given spread, and
-    weights drawn with zeros so that each term is sometimes off."""
+    """Random inputs of `distill_loss` for a minibatch of one image: logits
+    of the given spread, and weights drawn with zeros so that each term is
+    sometimes off."""
     rng = np.random.Generator(np.random.PCG64(seed))
     k = int(rng.integers(0, 4))
     h, w = (int(v) for v in rng.integers(1, 7, 2))
@@ -263,18 +272,18 @@ def distill_case(seed, std=1.0):
     g = losses.smooth_labels(rng.integers(0, 2, (h, w)))
     lams = (float(rng.choice([0.0, 0.3, 1.0])), float(rng.choice([0.0, 20.0])),
             float(rng.choice([0.0, 1.0, 20.0])))
-    return logits, p_t, u, g, k, lams
+    return logits[None], p_t[None], u[None], g[None], k, lams
 
 
 def node_and_oracle(logits, p_t, u, g, k, lams):
     """(total, l_old, l_new, logits gradient) of the closed-form head and of
-    the composed oracle on the same inputs."""
+    the composed oracle on the same one-image inputs."""
     total, grad, l_old, l_new = losses.distill_loss(logits.copy(), p_t, u, g, k, *lams)
-    b = Tensor(logits.copy(), requires_grad=True)
+    b = Tensor(logits[0].copy(), requires_grad=True)
     total_c, l_old_c, l_new_c = composed.distill_loss(
-        composed.softmax_channels(b), p_t, u, g, k, *lams)
+        composed.softmax_channels(b), p_t[0], u[0], g[0], k, *lams)
     backward(total_c)
-    return ((total, l_old, l_new, grad),
+    return ((total, l_old, l_new, grad[0]),
             (float(total_c.data), float(l_old_c.data), float(l_new_c.data), b.grad))
 
 
@@ -292,7 +301,7 @@ def clamped_case():
     p_t = random_probmap(rng, 3, 3, 4)
     u = rng.uniform(0.0, 2.0, (3, 4))
     g = losses.smooth_labels(rng.integers(0, 2, (3, 4)))
-    return logits, p_t, u, g, 2, (1.0, 20.0, 20.0)
+    return logits[None], p_t[None], u[None], g[None], 2, (1.0, 20.0, 20.0)
 
 
 class TestDistillLoss:
@@ -319,9 +328,9 @@ class TestDistillLoss:
     def test_clamped_pixels_match_oracle(self):
         logits, p_t, u, g, k, lams = clamped_case()
         p = losses.softmax(logits)
-        assert (losses.remap_old(p, k)[1, 1] <= losses.PROB_EPS).all()
-        assert (losses.remap_old(p, k)[0, 2] <= losses.PROB_EPS).all()
-        assert (losses.remap_new(p, k)[1, 0] <= losses.PROB_EPS).all()
+        assert (losses.remap_old(p, k)[0, 1, 1] <= losses.PROB_EPS).all()
+        assert (losses.remap_old(p, k)[0, 0, 2] <= losses.PROB_EPS).all()
+        assert (losses.remap_new(p, k)[0, 1, 0] <= losses.PROB_EPS).all()
         node, oracle = node_and_oracle(logits, p_t, u, g, k, lams)
         assert node[:3] == oracle[:3]
         scale = np.abs(oracle[3]).max()
@@ -352,14 +361,37 @@ class TestDistillLoss:
             assert out[0] == out[1]
             assert out[0][1] == 0.0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_minibatch_is_mean_of_images(self, seed):
+        # the loss and its terms are the one-image values summed in order
+        # and divided by N, to the bit; dlogits is the one-image gradients
+        # stacked and scaled by 1/N
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n, k = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        h, w = (int(v) for v in rng.integers(1, 7, 2))
+        batch = (rng.normal(0.0, 3.0, (n, k + 2, h, w)),
+                 np.stack([random_probmap(rng, k + 1, h, w) for _ in range(n)]),
+                 rng.uniform(0.0, 2.0, (n, h, w)),
+                 losses.smooth_labels(rng.integers(0, 2, (n, h, w))))
+        lams = (float(rng.choice([0.0, 1.0])), float(rng.choice([0.0, 20.0])), 20.0)
+        whole = losses.distill_loss(*batch, k, *lams)
+        ones = [losses.distill_loss(*(a[i:i + 1] for a in batch), k, *lams)
+                for i in range(n)]
+        for j in (0, 2, 3):
+            assert whole[j] == sum(one[j] for one in ones) / n
+        stacked = np.concatenate([one[1] for one in ones]) * (1.0 / n)
+        assert whole[1].tobytes() == stacked.tobytes()
+
     def test_bad_inputs_rejected(self):
         logits, p_t, u, g, k, lams = clamped_case()
         for args in ((p_t, u, g, k, 1.0, -1.0, 1.0),      # negative weight
                      (p_t, -u, g, k) + lams,              # negative u
-                     (p_t, u[:, :2], g, k) + lams,        # u shape
-                     (p_t[:2], u, g, k) + lams,           # teacher channels
+                     (p_t, u[..., :2], g, k) + lams,      # u shape
+                     (p_t, u[0], g, k) + lams,            # u not batched
+                     (p_t[:, :2], u, g, k) + lams,        # teacher channels
+                     (p_t.repeat(2, 0), u, g, k) + lams,  # teacher images
                      (p_t, u, 1.0 - g - g, k) + lams,     # g <= 0 somewhere
-                     (p_t, u, g[:, :2], k) + lams,        # g shape
+                     (p_t, u, g[..., :2], k) + lams,      # g shape
                      (p_t, u, g, k + 1) + lams):          # student channels
             with pytest.raises(losses.LossError):
                 losses.distill_loss(logits, *args)

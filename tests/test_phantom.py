@@ -196,6 +196,8 @@ class TestDatasetIO:
         {"phantom": {"num_organs": "3"}},
         {"train_indices": [], "test_indices": [0, 1, 2, 3, 4]},
         {"train_indices": [0, 1, 2, 3, 4], "test_indices": []},
+        {"phantom": {"radius_range": [3]}},
+        {"phantom": {"radius_range": [4, 3]}},
     ])
     def test_malformed_manifest_rejected(self, tmp_path, change):
         cfg = PhantomConfig(seed=5)

@@ -42,8 +42,7 @@ def step_case(seed):
 def weights(entropy, k, mode):
     if mode == "off":
         return np.ones_like(entropy)
-    return np.stack([uncertainty.weight_from_uncertainty(
-        uncertainty.UncertaintyMap(e, k + 1), mode) for e in entropy])
+    return uncertainty.weight_from_uncertainty(entropy, k + 1, mode)
 
 
 def teacher_head(labels):
@@ -57,11 +56,7 @@ def teacher_head(labels):
 
 def distill_head(p_t, u, smoothed, k):
     def plain(logits):
-        n = len(logits)
-        out = [losses.distill_loss(z, p_t[i], u[i], smoothed[i], k, *LAMBDAS)
-               for i, z in enumerate(logits)]
-        return (sum(o[0] for o in out) / n,
-                np.stack([o[1] for o in out]) * (1.0 / n))
+        return losses.distill_loss(logits, p_t, u, smoothed, k, *LAMBDAS)[:2]
 
     def oracle(i, logits):
         return composed.distill_loss(composed.softmax_channels(logits), p_t[i], u[i],

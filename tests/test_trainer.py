@@ -268,13 +268,13 @@ class TestDistill:
         teacher, new, _ = distill_setup
         s = new[0]
         student = segnet.extend_for_increment(teacher, 1, 3)
-        u = np.ones_like(s.labels, dtype=float)
-        p_t = losses.softmax(segnet.forward(teacher, s.image[None])[0][0])
-        s_logits = segnet.forward(student, s.image[None])[0][0]
-        total = losses.distill_loss(s_logits, p_t, u, losses.smooth_labels(s.labels),
+        u = np.ones((1,) + s.labels.shape)
+        p_t = losses.softmax(segnet.forward(teacher, s.image[None])[0])
+        s_logits = segnet.forward(student, s.image[None])[0]
+        total = losses.distill_loss(s_logits, p_t, u, losses.smooth_labels(s.labels[None]),
                                     1, 0.0, 1.0, 1.0)[0]
-        p_s2 = composed.softmax_channels(Tensor(s_logits))
-        kl = composed.kl_divergence(p_t, composed.remap_old(p_s2, 1))
+        p_s2 = composed.softmax_channels(Tensor(s_logits[0]))
+        kl = composed.kl_divergence(p_t[0], composed.remap_old(p_s2, 1))
         ln = composed.loss_new(composed.remap_new(p_s2, 1), losses.smooth_labels(s.labels))
         assert total == pytest.approx(float(kl.data) + float(ln.data), abs=1e-12)
 
@@ -297,8 +297,9 @@ class TestDistill:
         rows = []
         trainer.distill_incremental(teacher, new, quick_cfg(
             distill_epochs=2, uncertainty_mode="off"), log_rows=rows)
-        assert len(weights) == 2 * len(new)
-        assert all(np.array_equal(u, np.ones(new[0].labels.shape)) for u in weights)
+        # one call per minibatch: 4 samples in batches of 2, for 2 epochs
+        assert len(weights) == 2 * 2
+        assert all(np.array_equal(u, np.ones((2,) + new[0].labels.shape)) for u in weights)
         assert [r["mean_u"] for r in rows] == [1.0, 1.0]
 
     def test_control_skip_gives_same_weights(self, distill_setup):

@@ -157,21 +157,35 @@ def tiny_teacher():
 class TestUncertaintyMap:
     def test_q_zero_rejected(self, tiny_teacher):
         with pytest.raises(PerturbationError):
-            uncertainty_map(tiny_teacher, np.zeros((1, 4, 4)), 0, rng_for(0))
+            uncertainty_map(tiny_teacher, np.zeros((1, 1, 4, 4)), 0, rng_for(0))
 
     def test_bounds(self, tiny_teacher):
         rng = rng_for(5)
         for _ in range(50):
-            img = rng.uniform(0, 1, (1, 6, 6))
+            img = rng.uniform(0, 1, (2, 1, 6, 6))
             u = uncertainty_map(tiny_teacher, img, 4, rng)
-            assert (u.values >= 0).all()
-            assert (u.values <= np.log(3) + 1e-12).all()
+            assert u.shape == (2, 6, 6)
+            assert (u >= 0).all()
+            assert (u <= np.log(3) + 1e-12).all()
 
     def test_deterministic_per_seed(self, tiny_teacher):
-        img = rng_for(6).uniform(0, 1, (1, 8, 8))
+        img = rng_for(6).uniform(0, 1, (1, 1, 8, 8))
         a = uncertainty_map(tiny_teacher, img, 6, rng_for(7))
         b = uncertainty_map(tiny_teacher, img, 6, rng_for(7))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("b, q", [(1, 1), (2, 6), (3, 2), (5, 3)])
+    def test_minibatch_equals_per_image_calls(self, tiny_teacher, b, q):
+        # the copies are drawn image by image in minibatch order, so one
+        # call over B images gives the bytes of B one-image calls that
+        # share the rng, and leaves the rng in the same state
+        imgs = rng_for(20 + b).uniform(0, 1, (b, 1, 7, 5))
+        rng_a, rng_b = rng_for(21), rng_for(21)
+        whole = uncertainty_map(tiny_teacher, imgs, q, rng_a)
+        ones = np.concatenate([uncertainty_map(tiny_teacher, img[None], q, rng_b)
+                               for img in imgs])
+        assert whole.tobytes() == ones.tobytes()
+        assert rng_a.random() == rng_b.random()
 
     def test_two_member_analytic(self):
         # mean of one-hot [1,0] and [0,1] is uniform: entropy ln 2
@@ -199,8 +213,8 @@ class TestUncertaintyMap:
             xq = apply_perturbation(img, specs, rng)
             stored.append(softmax_channels(graph.model_forward(params, xq)).data)
         expected = uncertainty.entropy_map(np.mean(stored, axis=0))
-        got = uncertainty_map(tiny_teacher, img, 6, rng_for(9), pool)
-        assert np.abs(got.values - expected).max() < 1e-12
+        got = uncertainty_map(tiny_teacher, img[None], 6, rng_for(9), pool)
+        assert np.abs(got[0] - expected).max() < 1e-12
 
     def test_ensemble_entropy_concavity(self):
         rng = rng_for(10)
@@ -212,31 +226,28 @@ class TestUncertaintyMap:
 
     def test_teacher_untouched(self, tiny_teacher):
         before = tiny_teacher.weights_digest()
-        uncertainty_map(tiny_teacher, rng_for(12).uniform(0, 1, (1, 5, 5)), 3, rng_for(13))
+        uncertainty_map(tiny_teacher, rng_for(12).uniform(0, 1, (2, 1, 5, 5)), 3, rng_for(13))
         assert tiny_teacher.weights_digest() == before
 
 
 class TestWeightFromUncertainty:
-    def _umap(self, values, c=3):
-        return uncertainty.UncertaintyMap(np.asarray(values, dtype=float), c)
-
+    # entropies of 3 classes, whose largest is log 3
     def test_zero_entropy(self):
-        u = self._umap(np.zeros((4, 4)))
-        assert np.array_equal(weight_from_uncertainty(u, "as-paper"), np.zeros((4, 4)))
-        assert np.array_equal(weight_from_uncertainty(u, "normalized"), np.zeros((4, 4)))
-        assert np.array_equal(weight_from_uncertainty(u, "confidence"), np.ones((4, 4)))
+        u = np.zeros((2, 4, 4))
+        assert np.array_equal(weight_from_uncertainty(u, 3, "as-paper"), np.zeros((2, 4, 4)))
+        assert np.array_equal(weight_from_uncertainty(u, 3, "normalized"), np.zeros((2, 4, 4)))
+        assert np.array_equal(weight_from_uncertainty(u, 3, "confidence"), np.ones((2, 4, 4)))
 
     def test_max_entropy_normalized(self):
-        u = self._umap(np.full((2, 2), np.log(3)))
-        assert np.allclose(weight_from_uncertainty(u, "normalized"), 1.0)
+        u = np.full((1, 2, 2), np.log(3))
+        assert np.allclose(weight_from_uncertainty(u, 3, "normalized"), 1.0)
 
     def test_as_paper_is_identity(self):
         rng = rng_for(14)
         for _ in range(100):
-            vals = rng.uniform(0, np.log(3), (5, 5))
-            u = self._umap(vals)
-            assert np.array_equal(weight_from_uncertainty(u, "as-paper"), vals)
+            vals = rng.uniform(0, np.log(3), (2, 5, 5))
+            assert np.array_equal(weight_from_uncertainty(vals, 3, "as-paper"), vals)
 
     def test_unknown_mode(self):
         with pytest.raises(PerturbationError):
-            weight_from_uncertainty(self._umap(np.zeros((1, 1))), "bogus")
+            weight_from_uncertainty(np.zeros((1, 1, 1)), 3, "bogus")
