@@ -15,22 +15,12 @@ import functools
 import numpy as np
 
 
-class AutodiffError(Exception):
-    pass
-
-
-class NonFiniteError(AutodiffError):
-    """A parameter was given NaN/Inf values."""
-
-
 class Tensor:
     """A model parameter. `data` is a view into the model's flat parameter
     vector and `grad` one into its flat gradient vector, or None while the
     model is frozen."""
 
     def __init__(self, data: np.ndarray, grad: np.ndarray | None = None):
-        if not np.all(np.isfinite(data)):
-            raise NonFiniteError("non-finite values in a parameter")
         self.data = data
         self.grad = grad
         self.requires_grad = grad is not None

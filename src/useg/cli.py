@@ -21,7 +21,6 @@ import numpy as np
 
 from . import losses, phantom, segnet, trainer, uncertainty
 from .atomic import write_atomic
-from .autodiff import AutodiffError
 from .config import ConfigError, ExperimentConfig, load_experiment
 
 EXIT_VALIDATION = 1
@@ -29,7 +28,7 @@ EXIT_RUNTIME = 2
 
 _VALIDATION_ERRORS = (ConfigError, phantom.PhantomError, segnet.ModelError,
                       uncertainty.PerturbationError, losses.LossError)
-_RUNTIME_ERRORS = (trainer.TrainError, AutodiffError, OSError)
+_RUNTIME_ERRORS = (trainer.TrainError, OSError)
 
 
 def _fail(code: int, message: str):
@@ -259,7 +258,7 @@ def ablate(config_path, seed, out, teacher_path):
                 train_cfg = dataclasses.replace(cfg.train, uncertainty_mode=variant)
             try:
                 student, _ = _run_distill(cfg, teacher, train_cfg, samples, train_idx)
-            except (trainer.TrainError, AutodiffError) as e:
+            except trainer.TrainError as e:
                 raise trainer.TrainError(f"ablation variant {variant!r} failed: {e}") from e
             report = trainer.evaluate(student, test_samples,
                                       range(1, new_organ + 1), cfg)

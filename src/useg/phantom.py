@@ -23,10 +23,6 @@ class PhantomError(Exception):
     pass
 
 
-class PgmError(PhantomError):
-    pass
-
-
 @dataclass(frozen=True)
 class PhantomConfig:
     size: int = 32
@@ -42,6 +38,8 @@ class PhantomConfig:
             raise PhantomError("need at least one organ")
         if len(self.organ_means) != self.num_organs:
             raise PhantomError("organ_means length must equal num_organs")
+        if self.noise_sigma < 0:
+            raise PhantomError("noise_sigma must be >= 0")
         if self.radius_range[0] < 1.7:
             raise PhantomError("minimum radius too small for the 9-pixel organ floor")
         if self.radius_range[0] > self.radius_range[1]:
@@ -129,15 +127,15 @@ def write_pgm(values: np.ndarray, path, maxval: int) -> None:
     if arr.ndim == 3 and arr.shape[0] == 1:
         arr = arr[0]
     if arr.ndim != 2:
-        raise PgmError(f"cannot write array of shape {values.shape} as PGM")
+        raise PhantomError(f"cannot write array of shape {values.shape} as PGM")
     if not 0 < maxval < 65536:
-        raise PgmError("maxval must be in 1..65535")
+        raise PhantomError("maxval must be in 1..65535")
     if np.issubdtype(arr.dtype, np.floating):
         quant = np.rint(arr * maxval).astype(np.int64)
     else:
         quant = arr.astype(np.int64)
     if quant.min() < 0 or quant.max() > maxval:
-        raise PgmError("values out of PGM range")
+        raise PhantomError("values out of PGM range")
     h, w = arr.shape
     dtype = ">u2" if maxval > 255 else "u1"
     with open(path, "wb") as f:
@@ -150,7 +148,7 @@ def read_pgm(path) -> tuple:
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
-        raise PgmError(f"{path}: not a binary PGM")
+        raise PhantomError(f"{path}: not a binary PGM")
     # header: magic, width, height, maxval, separated by whitespace/comments
     fields = []
     pos = 2
@@ -165,21 +163,21 @@ def read_pgm(path) -> tuple:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise PgmError(f"{path}: truncated header")
+            raise PhantomError(f"{path}: truncated header")
         try:
             fields.append(int(data[start:pos]))
         except ValueError:
-            raise PgmError(f"{path}: malformed header field {data[start:pos]!r}")
+            raise PhantomError(f"{path}: malformed header field {data[start:pos]!r}")
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if w <= 0 or h <= 0 or not 0 < maxval < 65536:
-        raise PgmError(f"{path}: bad dimensions or maxval")
+        raise PhantomError(f"{path}: bad dimensions or maxval")
     dtype = ">u2" if maxval > 255 else "u1"
     itemsize = 2 if maxval > 255 else 1
     expected = w * h * itemsize
     raster = data[pos:pos + expected]
     if len(raster) != expected:
-        raise PgmError(f"{path}: raster truncated ({len(raster)} of {expected} bytes)")
+        raise PhantomError(f"{path}: raster truncated ({len(raster)} of {expected} bytes)")
     arr = np.frombuffer(raster, dtype=dtype).reshape(h, w).astype(np.int64)
     return arr, maxval
 

@@ -25,18 +25,6 @@ class ModelError(Exception):
     pass
 
 
-class BadMagicError(ModelError):
-    pass
-
-
-class VersionMismatchError(ModelError):
-    pass
-
-
-class TruncatedFileError(ModelError):
-    pass
-
-
 @dataclass(frozen=True)
 class SegModelConfig:
     num_classes: int
@@ -71,6 +59,8 @@ class SegModel:
         if flat.shape != (sum(sizes),):
             raise ModelError(f"{flat.shape} parameters do not match the config's "
                              f"{sum(sizes)}")
+        if not np.isfinite(flat).all():
+            raise ModelError("non-finite values in a parameter")
         self.config = config
         self.flat = flat
         self.grad = np.zeros_like(flat)
@@ -215,17 +205,17 @@ def save(model: SegModel, path) -> None:
 def _read_exact(f, n: int) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise TruncatedFileError(f"expected {n} bytes, got {len(buf)}")
+        raise ModelError(f"expected {n} bytes, got {len(buf)}")
     return buf
 
 
 def load(path) -> SegModel:
     with open(path, "rb") as f:
         if _read_exact(f, 4) != MAGIC:
-            raise BadMagicError(f"{path}: bad magic")
+            raise ModelError(f"{path}: bad magic")
         (version,) = struct.unpack("<I", _read_exact(f, 4))
         if version != VERSION:
-            raise VersionMismatchError(f"{path}: version {version} != {VERSION}")
+            raise ModelError(f"{path}: version {version} != {VERSION}")
         (in_ch,) = struct.unpack("<I", _read_exact(f, 4))
         (n_hidden,) = struct.unpack("<I", _read_exact(f, 4))
         hidden = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(n_hidden))

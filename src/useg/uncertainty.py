@@ -15,27 +15,9 @@ import numpy as np
 
 from . import losses, segnet
 
-KINDS = ("contrast", "brightness", "gaussian_blur", "gaussian_noise")
-
 
 class PerturbationError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise PerturbationError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == "contrast" and self.value <= 0:
-            raise PerturbationError("contrast factor must be > 0")
-        if self.kind == "gaussian_blur" and self.value <= 0:
-            raise PerturbationError("blur sigma must be > 0")
-        if self.kind == "gaussian_noise" and self.value < 0:
-            raise PerturbationError("noise sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,19 +42,6 @@ class PoolConfig:
             raise PerturbationError("blur sigmas must be > 0")
         if self.noise_sigma_range[0] < 0:
             raise PerturbationError("noise sigmas must be >= 0")
-
-
-def sample_perturbation(rng: np.random.Generator, cfg: PoolConfig = PoolConfig()):
-    """Draw a non-empty perturbation list in the fixed pool order."""
-    ranges = (cfg.contrast_range, cfg.brightness_range,
-              cfg.blur_sigma_range, cfg.noise_sigma_range)
-    while True:
-        specs = []
-        for kind, (lo, hi) in zip(KINDS, ranges):
-            if rng.random() < cfg.p_include:
-                specs.append(PerturbationSpec(kind, float(rng.uniform(lo, hi))))
-        if specs:
-            return specs
 
 
 @functools.lru_cache(maxsize=64)
@@ -115,24 +84,29 @@ def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return np.ascontiguousarray(_smooth_rows(out, kern, radius).swapaxes(-1, -2))
 
 
-def apply_perturbation(image: np.ndarray, specs,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Apply specs in order to a [1,H,W] image; shape is preserved."""
+def apply_perturbation(image: np.ndarray, rng: np.random.Generator,
+                       pool: PoolConfig) -> np.ndarray:
+    """One perturbed copy of a [1,H,W] image: contrast, brightness, blur and
+    noise, in this order, each included with probability `pool.p_include` at
+    a strength drawn from its range; redrawn until at least one is included."""
     x = np.asarray(image, dtype=np.float64)
     shape = x.shape
-    for spec in specs:
-        if spec.kind == "contrast":
+    included = False
+    while not included:
+        if rng.random() < pool.p_include:
             m = x.mean()
-            x = m + spec.value * (x - m)
-        elif spec.kind == "brightness":
-            x = x + spec.value
-        elif spec.kind == "gaussian_blur":
-            x = _blur(x, spec.value)
-        elif spec.kind == "gaussian_noise":
-            if spec.value > 0:
-                if rng is None:
-                    raise PerturbationError("gaussian_noise needs an rng")
-                x = x + rng.normal(0.0, spec.value, size=x.shape)
+            x = m + rng.uniform(*pool.contrast_range) * (x - m)
+            included = True
+        if rng.random() < pool.p_include:
+            x = x + rng.uniform(*pool.brightness_range)
+            included = True
+        if rng.random() < pool.p_include:
+            x = _blur(x, rng.uniform(*pool.blur_sigma_range))
+            included = True
+        if rng.random() < pool.p_include:
+            if (sigma := rng.uniform(*pool.noise_sigma_range)) > 0:
+                x = x + rng.normal(0.0, sigma, size=x.shape)
+            included = True
     x = np.clip(x, 0.0, 1.0)
     if x.shape != shape:
         raise PerturbationError(f"perturbation changed the image shape {shape} to {x.shape}")
@@ -154,7 +128,7 @@ def uncertainty_map(teacher, images: np.ndarray, q: int,
     image by image, in order; one `infer` runs all B·q of them."""
     if q < 1:
         raise PerturbationError("Q must be >= 1")
-    copies = np.stack([apply_perturbation(img, sample_perturbation(rng, pool), rng)
+    copies = np.stack([apply_perturbation(img, rng, pool)
                        for img in np.asarray(images, dtype=np.float64) for _ in range(q)])
     probs = losses.softmax(segnet.infer(teacher, copies))
     return entropy_map(probs.reshape((-1, q) + probs.shape[1:]).mean(axis=1))

@@ -17,9 +17,17 @@ import itertools
 
 import numpy as np
 
-from useg.autodiff import AutodiffError, NonFiniteError, conv_backward, conv_forward
+from useg.autodiff import conv_backward, conv_forward
 
 _SEQ = itertools.count()
+
+
+class AutodiffError(Exception):
+    pass
+
+
+class NonFiniteError(AutodiffError):
+    """A tensor was given, or an op produced, NaN/Inf values."""
 
 
 class GraphConsumedError(AutodiffError):

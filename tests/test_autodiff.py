@@ -5,8 +5,17 @@ differences."""
 import numpy as np
 import pytest
 
-from graph import GraphConsumedError, Tensor, backward, concat, conv2d, relu
-from useg.autodiff import AutodiffError, NonFiniteError, conv_backward, conv_forward
+from graph import (
+    AutodiffError,
+    GraphConsumedError,
+    NonFiniteError,
+    Tensor,
+    backward,
+    concat,
+    conv2d,
+    relu,
+)
+from useg.autodiff import conv_backward, conv_forward
 
 
 def conv2d_naive(x, kernel, bias):

@@ -192,11 +192,13 @@ class TestMalformedInput:
         ("phantom", {"organ_means": ["a", "b", "c"]}, "phantom.organ_means[0]"),
         ("phantom", {"size": 8}, "phantom: size 8"),
         ("model", {"hidden": [8.5]}, "model.hidden[0]"),
-    ], ids=["contrast_range", "radius_range", "organ_means", "size", "hidden"])
+        ("phantom", {"noise_sigma": -0.01}, "phantom: noise_sigma must be >= 0"),
+    ], ids=["contrast_range", "radius_range", "organ_means", "size", "hidden", "noise_sigma"])
     def test_config_value_refused_before_any_work(self, runner, generated, section,
                                                   value, field):
         # each ended in a traceback from the constructors, `generate` or
-        # `init_random`; now the config parse refuses it in every command
+        # `init_random`, or (a negative noise_sigma) in noise-free phantoms;
+        # now the config parse refuses it in every command
         cfg_path, out = generated
         doc = json.loads(cfg_path.read_text())
         doc[section] = value
@@ -379,7 +381,7 @@ class TestEvaluate:
 @pytest.mark.parametrize("command, flag", [("evaluate", "--weights"),
                                            ("distill", "--teacher")])
 def test_nan_weights_rejected(runner, trained, tmp_path, command, flag):
-    # a weight file that holds a NaN is a runtime error, not a traceback
+    # a weight file that holds a NaN is malformed input, not a traceback
     cfg_path, out = trained
     model = segnet.load(out / "teacher.useg")
     model.flat[3] = np.nan
@@ -387,7 +389,7 @@ def test_nan_weights_rejected(runner, trained, tmp_path, command, flag):
     segnet.save(model, bad)
     before = read_tree_bytes(out)
     result = runner.invoke(main, [command, "--config", str(cfg_path), flag, str(bad)])
-    assert result.exit_code == 2
+    assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "error: non-finite values in a parameter" in result.stderr.splitlines()

@@ -26,3 +26,8 @@ def test_traced_round_is_correct(workload):
     result = json.loads(p.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if workload == "distill":
+        # a renamed ensemble or perturbation function would read 0 here
+        metrics = result["metrics"]
+        assert metrics["uncertainty.maps"]["value"] > 0
+        assert metrics["uncertainty.perturb_ms_per_image"]["value"] > 0

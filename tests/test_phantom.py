@@ -5,7 +5,6 @@ import pytest
 
 from useg import phantom
 from useg.phantom import (
-    PgmError,
     PhantomConfig,
     PhantomError,
     generate_dataset,
@@ -128,17 +127,17 @@ class TestPgm:
     def test_non_pgm_rejected(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"\x89PNG\r\n")
-        with pytest.raises(PgmError):
+        with pytest.raises(PhantomError, match="not a binary PGM"):
             read_pgm(path)
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-        with pytest.raises(PgmError):
+        with pytest.raises(PhantomError, match="raster truncated"):
             read_pgm(path)
 
     def test_out_of_range_values_rejected(self, tmp_path):
-        with pytest.raises(PgmError):
+        with pytest.raises(PhantomError, match="values out of PGM range"):
             write_pgm(np.array([[5]]), tmp_path / "o.pgm", 3)
 
     def test_comment_in_header(self, tmp_path):

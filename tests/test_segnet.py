@@ -7,10 +7,8 @@ from useg import atomic, segnet
 from useg.autodiff import conv_forward
 from useg.losses import softmax
 from useg.segnet import (
-    BadMagicError,
     ModelError,
     SegModelConfig,
-    TruncatedFileError,
     extend_for_increment,
     init_random,
     load,
@@ -221,7 +219,7 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XSEG"
         path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(ModelError, match="bad magic"):
             load(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -230,7 +228,7 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(segnet.VersionMismatchError):
+        with pytest.raises(ModelError, match="version 99 != 1"):
             load(path)
 
     def test_truncated_weights(self, tmp_path):
@@ -238,13 +236,13 @@ class TestPersistence:
         save(init_random(SegModelConfig(num_classes=3), 0), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) - 17])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(ModelError, match=r"expected \d+ bytes, got \d+"):
             load(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "m.useg"
         path.write_bytes(b"USEG\x01\x00")
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(ModelError, match=r"expected \d+ bytes, got \d+"):
             load(path)
 
 

@@ -4,10 +4,8 @@ import pytest
 from useg import segnet, uncertainty
 from useg.uncertainty import (
     PerturbationError,
-    PerturbationSpec,
     PoolConfig,
     apply_perturbation,
-    sample_perturbation,
     uncertainty_map,
     weight_from_uncertainty,
 )
@@ -17,36 +15,94 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def point_pool(contrast=1.0, brightness=0.0, blur=1.0, noise=0.0):
+    """A pool that includes every transform, each at one fixed strength."""
+    return PoolConfig(p_include=1.0, contrast_range=(contrast, contrast),
+                      brightness_range=(brightness, brightness),
+                      blur_sigma_range=(blur, blur), noise_sigma_range=(noise, noise))
+
+
+def copy_by_hand(img, twin, pool):
+    """One copy drawn as two phases: first every inclusion draw and
+    strength, in pool order, redrawn while none is included; then the
+    transforms, noise last with its pixels drawn after every strength."""
+    ranges = (pool.contrast_range, pool.brightness_range,
+              pool.blur_sigma_range, pool.noise_sigma_range)
+    strengths = [None] * 4
+    while all(v is None for v in strengths):
+        strengths = [twin.uniform(lo, hi) if twin.random() < pool.p_include else None
+                     for lo, hi in ranges]
+    contrast, brightness, blur, noise = strengths
+    x = img
+    if contrast is not None:
+        m = x.mean()
+        x = m + contrast * (x - m)
+    if brightness is not None:
+        x = x + brightness
+    if blur is not None:
+        x = uncertainty._blur(x, blur)
+    if noise:
+        x = x + twin.normal(0.0, noise, size=x.shape)
+    return np.clip(x, 0.0, 1.0)
+
+
+class RecordingRng(np.random.Generator):
+    """A generator that records the (lo, hi, value) of every `uniform`."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.uniforms = []
+
+    def uniform(self, lo, hi):
+        value = super().uniform(lo, hi)
+        self.uniforms.append((lo, hi, value))
+        return value
+
+
 class TestSamplePerturbation:
+    """What `apply_perturbation` draws: which transforms, in which order,
+    at which strengths."""
+
     def test_p_one_gives_all_kinds_in_order(self):
-        specs = sample_perturbation(rng_for(0), PoolConfig(p_include=1.0))
-        assert [s.kind for s in specs] == list(uncertainty.KINDS)
+        img = rng_for(0).uniform(0.2, 0.6, (1, 9, 8))
+        out = apply_perturbation(img, rng_for(1), point_pool(1.5, 0.05, 0.8))
+        m = img.mean()
+        want = np.clip(uncertainty._blur(m + 1.5 * (img - m) + 0.05, 0.8), 0.0, 1.0)
+        assert out.tobytes() == want.tobytes()
 
     def test_p_zero_rejected(self):
         with pytest.raises(PerturbationError):
             PoolConfig(p_include=0.0)
 
     def test_deterministic_per_seed(self):
-        a = sample_perturbation(rng_for(42))
-        b = sample_perturbation(rng_for(42))
-        assert a == b
+        img = rng_for(41).uniform(0, 1, (1, 6, 6))
+        rng_a, rng_b = rng_for(42), rng_for(42)
+        for _ in range(20):
+            a = apply_perturbation(img, rng_a, PoolConfig())
+            b = apply_perturbation(img, rng_b, PoolConfig())
+            assert a.tobytes() == b.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_never_empty(self):
+        # every transform of this pool changes the image, so a copy equal
+        # to it would be one that included none
         rng = rng_for(1)
-        cfg = PoolConfig(p_include=0.05)
+        img = rng.uniform(0.3, 0.5, (1, 6, 6))
+        pool = PoolConfig(p_include=0.05, contrast_range=(2.0, 2.0),
+                          brightness_range=(0.3, 0.3), noise_sigma_range=(0.1, 0.1))
         for _ in range(200):
-            assert len(sample_perturbation(rng, cfg)) >= 1
+            assert not np.array_equal(apply_perturbation(img, rng, pool), img)
 
     def test_parameters_within_ranges(self):
-        rng = rng_for(2)
-        cfg = PoolConfig(p_include=1.0)
-        ranges = {"contrast": cfg.contrast_range, "brightness": cfg.brightness_range,
-                  "gaussian_blur": cfg.blur_sigma_range,
-                  "gaussian_noise": cfg.noise_sigma_range}
+        rng = RecordingRng(2)
+        pool = PoolConfig(p_include=1.0)
+        ranges = [pool.contrast_range, pool.brightness_range,
+                  pool.blur_sigma_range, pool.noise_sigma_range]
+        img = rng_for(3).uniform(0, 1, (1, 5, 5))
         for _ in range(100):
-            for s in sample_perturbation(rng, cfg):
-                lo, hi = ranges[s.kind]
-                assert lo <= s.value <= hi
+            apply_perturbation(img, rng, pool)
+        assert [(lo, hi) for lo, hi, _ in rng.uniforms] == ranges * 100
+        assert all(lo <= v <= hi for lo, hi, v in rng.uniforms)
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(PerturbationError):
@@ -58,47 +114,54 @@ class TestSamplePerturbation:
 class TestApplyPerturbation:
     def test_identity_specs(self):
         img = rng_for(3).uniform(0.2, 0.8, (1, 8, 8))
-        specs = [PerturbationSpec("contrast", 1.0), PerturbationSpec("brightness", 0.0)]
-        out = apply_perturbation(img, specs)
-        assert np.allclose(out, img)
+        for sigma in (0.5, 1.0, 1.7):
+            out = apply_perturbation(img, rng_for(4), point_pool(blur=sigma))
+            want = np.clip(uncertainty._blur(img, sigma), 0.0, 1.0)
+            assert np.abs(out - want).max() <= 1e-15
 
     def test_blur_preserves_constant_image(self):
         img = np.full((1, 10, 10), 0.4)
         for sigma in (0.5, 1.0, 2.5):
-            out = apply_perturbation(img, [PerturbationSpec("gaussian_blur", sigma)])
+            out = apply_perturbation(img, rng_for(5), point_pool(blur=sigma))
             assert np.allclose(out, 0.4, atol=1e-12)
 
     def test_blur_preserves_delta_mass_interior(self):
         # oracle: a normalized kernel redistributes but conserves mass
         img = np.zeros((1, 21, 21))
         img[0, 10, 10] = 1.0
-        out = apply_perturbation(img, [PerturbationSpec("gaussian_blur", 1.0)])
+        out = apply_perturbation(img, rng_for(6), point_pool(blur=1.0))
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_shape_preserved_random_specs(self):
         rng = rng_for(4)
         img = rng.uniform(0, 1, (1, 7, 5))
         for _ in range(200):
-            specs = sample_perturbation(rng)
-            out = apply_perturbation(img, specs, rng)
-            assert out.shape == img.shape
+            assert apply_perturbation(img, rng, PoolConfig()).shape == img.shape
 
     def test_output_clamped(self):
         img = np.full((1, 4, 4), 0.95)
-        out = apply_perturbation(img, [PerturbationSpec("brightness", 0.5)])
+        out = apply_perturbation(img, rng_for(7), point_pool(brightness=0.5))
         assert out.max() <= 1.0
 
-    def test_noise_needs_rng(self):
-        with pytest.raises(PerturbationError):
-            apply_perturbation(np.zeros((1, 2, 2)),
-                               [PerturbationSpec("gaussian_noise", 0.1)])
+    @pytest.mark.parametrize("p_include", [1.0, 0.1])
+    def test_draws_match_copy_by_hand(self, p_include):
+        # the draws and float operations of a copy drawn in two phases;
+        # at 0.1 most copies redraw at least once, and noise of σ = 0
+        # draws no pixels
+        img = rng_for(8).uniform(0, 1, (1, 7, 6))
+        for noise in ((0.0, 0.05), (0.0, 0.0)):
+            pool = PoolConfig(p_include=p_include, noise_sigma_range=noise)
+            for seed in range(30):
+                rng, twin = rng_for(seed), rng_for(seed)
+                out = apply_perturbation(img, rng, pool)
+                assert out.tobytes() == copy_by_hand(img, twin, pool).tobytes()
+                assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_shape_change_raises(self, monkeypatch):
         # a check that raises, not an assert, so it holds under python -O
         monkeypatch.setattr(uncertainty, "_blur", lambda img, sigma: img[..., 1:, :])
         with pytest.raises(PerturbationError, match="shape"):
-            apply_perturbation(np.zeros((1, 4, 4)),
-                               [PerturbationSpec("gaussian_blur", 1.0)])
+            apply_perturbation(np.zeros((1, 4, 4)), rng_for(0), point_pool())
 
 
 def nearest_correlate(x, kern, axis):
@@ -209,8 +272,7 @@ class TestUncertaintyMap:
         params = graph.parameters(tiny_teacher)
         stored = []
         for _ in range(6):
-            specs = sample_perturbation(rng, pool)
-            xq = apply_perturbation(img, specs, rng)
+            xq = apply_perturbation(img, rng, pool)
             stored.append(softmax_channels(graph.model_forward(params, xq)).data)
         expected = uncertainty.entropy_map(np.mean(stored, axis=0))
         got = uncertainty_map(tiny_teacher, img[None], 6, rng_for(9), pool)
