@@ -93,13 +93,10 @@ def _load_cfg(config_path, seed, out, **overrides) -> ExperimentConfig:
     return load_experiment(config_path, {"seed": seed, "out_dir": out, **overrides})
 
 
-def _write_csv(path, rows, fieldnames=None):
+def _write_csv(path, rows: list):
     """Write `rows` as CSV; the file appears whole or not at all."""
-    rows = list(rows)
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
     buf = io.StringIO(newline="")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [])
     writer.writeheader()
     writer.writerows(rows)
     write_atomic(path, buf.getvalue().encode())
@@ -181,6 +178,7 @@ def train_teacher_cmd(config_path, seed, out):
 
 
 def _check_teacher(cfg: ExperimentConfig, teacher_path) -> segnet.SegModel:
+    teacher_path = teacher_path or Path(cfg.out_dir) / "teacher.useg"
     teacher = segnet.load(teacher_path)
     expected = cfg.scenario.teacher_organs + 1
     if teacher.config.num_classes != expected:
@@ -191,14 +189,17 @@ def _check_teacher(cfg: ExperimentConfig, teacher_path) -> segnet.SegModel:
     return teacher
 
 
-def _run_distill(cfg: ExperimentConfig, teacher, train_cfg, samples, train_idx):
+def _distill(cfg: ExperimentConfig, teacher, train_cfg, samples, train_idx, test_idx,
+             log_rows: list | None = None):
+    """Distill `teacher` on the new organ's training labels, then score the
+    student on the held-out full labels; returns (student, report)."""
     new_organ = cfg.scenario.new_organ
     new_samples = [phantom.to_single_organ(samples[i], new_organ, cfg.phantom.num_organs)
                    for i in train_idx]
-    log_rows: list = []
     student = trainer.distill_incremental(teacher, new_samples, train_cfg,
                                           pool=cfg.pool, log_rows=log_rows)
-    return student, log_rows
+    return student, trainer.evaluate(student, [samples[i] for i in test_idx],
+                                     range(1, new_organ + 1), cfg)
 
 
 @main.command()
@@ -213,17 +214,17 @@ def distill(config_path, seed, out, teacher_path, uncertainty_mode):
     """Distill the frozen teacher into a K+1-organ student."""
     cfg = _load_cfg(config_path, seed, out)
     out_dir = Path(cfg.out_dir)
-    teacher = _check_teacher(cfg, teacher_path or out_dir / "teacher.useg")
+    teacher = _check_teacher(cfg, teacher_path)
     train_cfg = cfg.train
     if uncertainty_mode is not None:
         train_cfg = dataclasses.replace(train_cfg, uncertainty_mode=uncertainty_mode)
     samples, train_idx, test_idx = _load_split(cfg)
+    log_rows: list = []
     with OutputLock(out_dir):
-        student, log_rows = _run_distill(cfg, teacher, train_cfg, samples, train_idx)
+        student, report = _distill(cfg, teacher, train_cfg, samples, train_idx, test_idx,
+                                   log_rows)
         segnet.save(student, out_dir / "student.useg")
         _write_csv(out_dir / "distill_log.csv", log_rows)
-        report = trainer.evaluate(student, [samples[i] for i in test_idx],
-                                  range(1, cfg.scenario.new_organ + 1), cfg)
         write_atomic(out_dir / "eval_report.json",
                      (json.dumps(dataclasses.asdict(report), indent=2) + "\n").encode())
         _write_csv(out_dir / "eval_report.csv",
@@ -243,9 +244,8 @@ def ablate(config_path, seed, out, teacher_path):
     """Distill under every uncertainty mode plus the no-distillation baseline."""
     cfg = _load_cfg(config_path, seed, out)
     out_dir = Path(cfg.out_dir)
-    teacher = _check_teacher(cfg, teacher_path or out_dir / "teacher.useg")
+    teacher = _check_teacher(cfg, teacher_path)
     samples, train_idx, test_idx = _load_split(cfg)
-    test_samples = [samples[i] for i in test_idx]
     k = cfg.scenario.teacher_organs
     new_organ = cfg.scenario.new_organ
     rows = []
@@ -257,11 +257,9 @@ def ablate(config_path, seed, out, teacher_path):
             else:
                 train_cfg = dataclasses.replace(cfg.train, uncertainty_mode=variant)
             try:
-                student, _ = _run_distill(cfg, teacher, train_cfg, samples, train_idx)
+                _, report = _distill(cfg, teacher, train_cfg, samples, train_idx, test_idx)
             except trainer.TrainError as e:
                 raise trainer.TrainError(f"ablation variant {variant!r} failed: {e}") from e
-            report = trainer.evaluate(student, test_samples,
-                                      range(1, new_organ + 1), cfg)
             row = {"variant": variant}
             row.update({f"dice_organ{o}": report.per_organ[o]
                         for o in sorted(report.per_organ)})

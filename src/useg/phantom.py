@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,39 +144,26 @@ def write_pgm(values: np.ndarray, path, maxval: int) -> None:
         f.write(quant.astype(dtype).tobytes())
 
 
+# P5, then width, height and maxval as 1-9 ASCII digits, each after
+# whitespace or `#` comment lines; one whitespace byte ends the header
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+([0-9]{1,9})" * 3 + rb"\s")
+
+
 def read_pgm(path) -> tuple:
     """Read binary PGM; returns (array of ints [H,W], maxval)."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
         raise PhantomError(f"{path}: not a binary PGM")
-    # header: magic, width, height, maxval, separated by whitespace/comments
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise PhantomError(f"{path}: truncated header")
-        try:
-            fields.append(int(data[start:pos]))
-        except ValueError:
-            raise PhantomError(f"{path}: malformed header field {data[start:pos]!r}")
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise PhantomError(f"{path}: malformed or truncated header")
+    w, h, maxval = map(int, header.groups())
     if w <= 0 or h <= 0 or not 0 < maxval < 65536:
         raise PhantomError(f"{path}: bad dimensions or maxval")
-    dtype = ">u2" if maxval > 255 else "u1"
-    itemsize = 2 if maxval > 255 else 1
-    expected = w * h * itemsize
-    raster = data[pos:pos + expected]
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    expected = w * h * dtype.itemsize
+    raster = data[header.end():header.end() + expected]
     if len(raster) != expected:
         raise PhantomError(f"{path}: raster truncated ({len(raster)} of {expected} bytes)")
     arr = np.frombuffer(raster, dtype=dtype).reshape(h, w).astype(np.int64)

@@ -9,6 +9,7 @@ rows for the new classes.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -202,32 +203,32 @@ def save(model: SegModel, path) -> None:
                  + model.flat.astype("<f8").tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ModelError(f"expected {n} bytes, got {len(buf)}")
-    return buf
-
-
 def load(path) -> SegModel:
+    """Read a `.useg` file, checking each length its header promises first."""
     with open(path, "rb") as f:
-        if _read_exact(f, 4) != MAGIC:
-            raise ModelError(f"{path}: bad magic")
-        (version,) = struct.unpack("<I", _read_exact(f, 4))
-        if version != VERSION:
-            raise ModelError(f"{path}: version {version} != {VERSION}")
-        (in_ch,) = struct.unpack("<I", _read_exact(f, 4))
-        (n_hidden,) = struct.unpack("<I", _read_exact(f, 4))
-        hidden = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(n_hidden))
-        (k,) = struct.unpack("<I", _read_exact(f, 4))
-        (classes,) = struct.unpack("<I", _read_exact(f, 4))
-        try:
-            cfg = SegModelConfig(num_classes=classes, in_channels=in_ch,
-                                 hidden=hidden, kernel_size=k)
-        except ModelError as e:
-            raise ModelError(f"{path}: inconsistent config: {e}") from e
-        n = sum(int(np.prod(s)) for pair in cfg.layer_shapes() for s in pair)
-        flat = np.frombuffer(_read_exact(f, n * 8), dtype="<f8").astype(np.float64)
-        if f.read(1):
-            raise ModelError(f"{path}: trailing bytes after weights")
-    return SegModel(cfg, flat)
+        data = f.read()
+
+    def words(pos: int, n: int) -> tuple:
+        end = pos + 4 * n
+        if end > len(data):
+            raise ModelError(f"{path}: expected {end} bytes, got {len(data)}")
+        return struct.unpack_from(f"<{n}I", data, pos)
+
+    if data[:4] != MAGIC:
+        raise ModelError(f"{path}: bad magic")
+    version, in_ch, n_hidden = words(4, 3)
+    if version != VERSION:
+        raise ModelError(f"{path}: version {version} != {VERSION}")
+    hidden = words(16, n_hidden)
+    k, classes = words(16 + 4 * n_hidden, 2)
+    try:
+        cfg = SegModelConfig(num_classes=classes, in_channels=in_ch,
+                             hidden=hidden, kernel_size=k)
+    except ModelError as e:
+        raise ModelError(f"{path}: inconsistent config: {e}") from e
+    start = 24 + 4 * n_hidden
+    # exact integers: np.prod would wrap in int64 on a corrupted header
+    size = start + 8 * sum(math.prod(s) for pair in cfg.layer_shapes() for s in pair)
+    if len(data) != size:
+        raise ModelError(f"{path}: expected {size} bytes, got {len(data)}")
+    return SegModel(cfg, np.frombuffer(data, dtype="<f8", offset=start).astype(np.float64))

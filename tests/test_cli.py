@@ -396,6 +396,24 @@ def test_nan_weights_rejected(runner, trained, tmp_path, command, flag):
     assert read_tree_bytes(out) == before
 
 
+@pytest.mark.parametrize("command, flag", [("evaluate", "--weights"),
+                                           ("distill", "--teacher")])
+@pytest.mark.parametrize("byte, mask", [(11, 0x01), (27, 0x10)])
+def test_corrupted_weights_header_rejected(runner, trained, tmp_path, command, flag,
+                                           byte, mask):
+    # one flipped bit in in_channels (byte 11) or kernel_size (byte 27) makes
+    # the header promise far more weights than the file holds
+    cfg_path, out = trained
+    raw = bytearray((out / "teacher.useg").read_bytes())
+    raw[byte] ^= mask
+    bad = tmp_path / "bad.useg"
+    bad.write_bytes(bytes(raw))
+    before = read_tree_bytes(out)
+    result = runner.invoke(main, [command, "--config", str(cfg_path), flag, str(bad)])
+    assert_refused(result, out, before)
+    assert f"bytes, got {len(raw)}" in result.stderr
+
+
 class TestGradcheck:
     def test_default_seed_passes(self, runner):
         result = runner.invoke(main, ["gradcheck", "--seed", "0"])

@@ -1,0 +1,106 @@
+"""Fuzz the two binary readers through the CLI: a `.useg` weights file and
+the PGM rasters of a dataset, truncated, bit-flipped or with a byte
+inserted, passed to `useg evaluate`. Every case must end with exit code 0,
+1 or 2; a refusal must print an `error:` line, no traceback, and leave the
+output tree as it was."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_cli import read_tree_bytes
+from useg.cli import main
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+# half the positions fall here: a .useg header with two hidden layers is 32
+# bytes, and a PGM header of these rasters at most 15
+HOT_BYTES = 32
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    doc = {
+        "seed": 5,
+        "out_dir": str(root / "run"),
+        "num_samples": 5,
+        "phantom": {"size": 12, "num_organs": 3, "organ_means": [0.35, 0.6, 0.85],
+                    "radius_range": [1.8, 2.2]},
+        "scenario": {"teacher_organs": 2, "new_organ": 3},
+        "train": {"teacher_epochs": 1, "batch_size": 2},
+    }
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    runner = CliRunner()
+    for command in ("generate", "train-teacher"):
+        assert runner.invoke(main, [command, "--config", str(cfg_path)]).exit_code == 0
+    return cfg_path, root / "run"
+
+
+def mutations(size: int):
+    """A truncation, a bit flip or a one-byte insertion of a `size`-byte
+    file."""
+    pos = st.one_of(st.integers(0, HOT_BYTES), st.integers(0, size))
+    return st.one_of(
+        st.tuples(st.just("truncate"), pos.map(lambda p: min(p, size - 1))),
+        st.tuples(st.just("flip"), pos.map(lambda p: min(p, size - 1)),
+                  st.integers(0, 7)),
+        st.tuples(st.just("insert"), pos, st.integers(0, 255)),
+    )
+
+
+def mutate(raw: bytes, mutation) -> bytes:
+    kind, pos, *arg = mutation
+    if kind == "truncate":
+        return raw[:pos]
+    if kind == "flip":
+        return raw[:pos] + bytes([raw[pos] ^ (1 << arg[0])]) + raw[pos + 1:]
+    return raw[:pos] + bytes(arg) + raw[pos:]
+
+
+def assert_total(cfg_path, out, weights):
+    before = read_tree_bytes(out)
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
+                                       "--weights", str(weights)])
+    assert result.exit_code in (0, 1, 2)
+    assert isinstance(result.exception, (SystemExit, type(None)))
+    if result.exit_code:
+        assert "Traceback" not in result.output
+        assert any(line.startswith("error:") for line in result.stderr.splitlines())
+        assert read_tree_bytes(out) == before
+
+
+def test_corrupted_weights(run, tmp_path_factory):
+    cfg_path, out = run
+    raw = (out / "teacher.useg").read_bytes()
+    bad = tmp_path_factory.mktemp("weights") / "bad.useg"
+
+    @FUZZ
+    @given(mutations(len(raw)))
+    def check(mutation):
+        bad.write_bytes(mutate(raw, mutation))
+        assert_total(cfg_path, out, bad)
+
+    check()
+
+
+@pytest.mark.parametrize("raster", ["images/4.pgm", "labels_full/4.pgm"])
+def test_corrupted_raster(run, raster):
+    cfg_path, out = run
+    path = out / "dataset" / raster
+    raw = path.read_bytes()
+
+    @FUZZ
+    @given(mutations(len(raw)))
+    def check(mutation):
+        path.write_bytes(mutate(raw, mutation))
+        try:
+            assert_total(cfg_path, out, out / "teacher.useg")
+        finally:
+            path.write_bytes(raw)
+
+    check()

@@ -147,6 +147,29 @@ class TestPgm:
         assert maxval == 255
         assert np.array_equal(arr, [[7, 9]])
 
+    @pytest.mark.parametrize("header", [
+        b"P55\n8 6\n256\n",     # the magic runs into the width
+        b"P5\n+4 2\n255\n",      # a sign
+        b"P5\n3_2 2\n255\n",     # a digit separator
+        b"P5\n1 1\n0000000255\n",  # ten digits
+    ])
+    def test_header_fields_not_pgm_rejected(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(256))  # raster bytes to spare
+        with pytest.raises(PhantomError, match="malformed or truncated header"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n2#width\n1\n255\n",                  # a comment right after a number
+        b"P5#a\n2\n#b\n#c\n1#d\n \t#e\n255\n",  # comments between every pair of fields
+    ])
+    def test_comments_between_fields(self, tmp_path, header):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(header + b"\x07\x09")
+        arr, maxval = read_pgm(path)
+        assert maxval == 255
+        assert np.array_equal(arr, [[7, 9]])
+
 
 class TestDatasetIO:
     def test_split_ratio(self):

@@ -245,6 +245,26 @@ class TestPersistence:
         with pytest.raises(ModelError, match=r"expected \d+ bytes, got \d+"):
             load(path)
 
+    # byte 11 is the high byte of in_channels, byte 27 that of kernel_size
+    # (hidden = (8, 16)): the header then promises gigabytes, or a count
+    # that wraps in int64, and the file's length must refuse it unread
+    @pytest.mark.parametrize("byte, mask", [(11, 0x01), (27, 0x10)])
+    def test_corrupted_header_promising_huge_weights(self, tmp_path, byte, mask):
+        path = tmp_path / "m.useg"
+        save(init_random(SegModelConfig(num_classes=3), 0), path)
+        raw = bytearray(path.read_bytes())
+        raw[byte] ^= mask
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelError, match=rf"expected \d+ bytes, got {len(raw)}"):
+            load(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.useg"
+        save(init_random(SegModelConfig(num_classes=3), 0), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ModelError, match=r"expected \d+ bytes, got \d+"):
+            load(path)
+
 
 class HalfWriter:
     """A file that takes half of the first write and then fails, as a full
