@@ -207,7 +207,7 @@ def _distill(cfg: ExperimentConfig, teacher, train_cfg, samples, train_idx, test
 @click.option("--teacher", "teacher_path", type=click.Path(), default=None,
               help="teacher weights (default: <out>/teacher.useg)")
 @click.option("--uncertainty", "uncertainty_mode",
-              type=click.Choice(uncertainty.WEIGHT_MODES + ("off",)), default=None,
+              type=click.Choice(uncertainty.MODES), default=None,
               help="uncertainty weighting mode; 'off' fixes u to 1")
 @handle_errors
 def distill(config_path, seed, out, teacher_path, uncertainty_mode):
@@ -233,7 +233,7 @@ def distill(config_path, seed, out, teacher_path, uncertainty_mode):
     _print_dice_table(report, "student held-out Dice:")
 
 
-ABLATION_VARIANTS = ("as-paper", "normalized", "confidence", "off", "new-task-only")
+ABLATION_VARIANTS = uncertainty.MODES + ("new-task-only",)
 
 
 @main.command()
@@ -340,6 +340,9 @@ def full_objective_gradcheck(seed: int, h: float = 1e-5):
 @handle_errors
 def gradcheck(seed, h, tol):
     """Check full-objective gradients against central finite differences."""
+    if seed < 0 or not 0 < h < float("inf"):
+        raise ConfigError(f"gradcheck needs --seed >= 0 and a finite --step > 0, "
+                          f"got {seed} and {h}")
     rel, layer, index = full_objective_gradcheck(seed, h)
     # parameters alternate kernel/bias, so layer index is param_idx // 2
     click.echo(f"max relative error {rel:.3e} at layer {layer // 2} "

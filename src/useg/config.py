@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,20 +30,24 @@ class Scenario:
             raise ConfigError("scenario.new_organ must be an organ beyond the teacher's K")
 
 
+# 100x the default 100 samples; at the default size they hold 160 MB
+MAX_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     phantom: PhantomConfig
     train: TrainConfig
     scenario: Scenario
     pool: PoolConfig
-    model: SegModelConfig | None  # the teacher's; SegModelConfig's defaults when None
+    model: SegModelConfig  # the teacher's
     num_samples: int
     out_dir: str
     seed: int
 
     def __post_init__(self):
-        if self.num_samples < 5:
-            raise ConfigError("num_samples must be >= 5 for a 4:1 split")
+        if not 5 <= self.num_samples <= MAX_SAMPLES:
+            raise ConfigError(f"num_samples must be in 5..{MAX_SAMPLES} (>= 5 for a 4:1 split)")
         if self.scenario.new_organ > self.phantom.num_organs:
             raise ConfigError("scenario.new_organ exceeds phantom.num_organs")
 
@@ -51,9 +56,20 @@ class ExperimentConfig:
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
+def _shown(value) -> str:
+    """`value` as JSON, cut short: an integer may have hundreds of digits,
+    and a list may nest deeper than `json.dumps` can follow."""
+    try:
+        text = json.dumps(value)
+    except RecursionError:
+        text = "[" * 40
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _check_type(name: str, value, annotation: str):
     """A tuple field is a list of one item type: "tuple[float, float]" of
-    that length, "tuple[int, ...]" of any length."""
+    that length, "tuple[int, ...]" of any length. A float must be finite
+    as a float, which refuses NaN, Infinity and 10**400."""
     items = annotation[6:-1].split(", ") if annotation.startswith("tuple[") else None
     if items is None:
         ok = isinstance(value, _JSON_TYPES[annotation])
@@ -61,7 +77,10 @@ def _check_type(name: str, value, annotation: str):
         ok = isinstance(value, list) and (items[-1] == "..." or len(value) == len(items))
     # bool is an int subclass, but `true` is not a number
     if isinstance(value, bool) or not ok:
-        raise ConfigError(f"{name}: expected {annotation}, got {json.dumps(value)}")
+        raise ConfigError(f"{name}: expected {annotation}, got {_shown(value)}")
+    # ints compare with floats exactly, and NaN compares false
+    if annotation == "float" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name}: expected a finite float, got {_shown(value)}")
     if items is not None:
         for i, item in enumerate(value):
             _check_type(f"{name}[{i}]", item, items[0])
@@ -101,16 +120,13 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"{key}: unknown field")
     seed = doc["seed"]
     _check_type("seed", seed, "int")
+    if seed < 0:  # numpy's SeedSequence takes none
+        raise ConfigError(f"seed: expected a non-negative int, got {seed}")
     num_samples = doc.get("num_samples", 100)
     _check_type("num_samples", num_samples, "int")
     _check_type("out_dir", doc["out_dir"], "str")
 
     scenario = _build(Scenario, doc["scenario"], "scenario")
-    model = None
-    if "model" in doc:
-        # the teacher's classes follow from the scenario: K organs + background
-        model = _build(SegModelConfig, doc["model"], "model",
-                       derived={"num_classes": scenario.teacher_organs + 1})
     return ExperimentConfig(
         # one seed: the sections take the top-level one and may not set theirs
         phantom=_build(PhantomConfig, doc.get("phantom", {}), "phantom",
@@ -119,7 +135,9 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
                      derived={"seed": seed}),
         scenario=scenario,
         pool=_build(PoolConfig, doc.get("pool", {}), "pool"),
-        model=model,
+        # the teacher's classes follow from the scenario: K organs + background
+        model=_build(SegModelConfig, doc.get("model", {}), "model",
+                     derived={"num_classes": scenario.teacher_organs + 1}),
         num_samples=num_samples,
         out_dir=doc["out_dir"],
         seed=seed,
@@ -132,7 +150,7 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or nested too deep
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if overrides:
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}

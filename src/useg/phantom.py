@@ -24,12 +24,15 @@ class PhantomError(Exception):
     pass
 
 
+# 16x the default size; a sample's image and labels hold 16·size² bytes
+MAX_SIZE = 512
+
+
 @dataclass(frozen=True)
 class PhantomConfig:
     size: int = 32
     num_organs: int = 3
     organ_means: tuple[float, ...] = (0.35, 0.6, 0.85)
-    background_mean: float = 0.1
     noise_sigma: float = 0.03
     radius_range: tuple[float, float] = (2.5, 5.0)
     seed: int = 0
@@ -45,6 +48,8 @@ class PhantomConfig:
             raise PhantomError("minimum radius too small for the 9-pixel organ floor")
         if self.radius_range[0] > self.radius_range[1]:
             raise PhantomError("radius_range: lo > hi")
+        if self.size > MAX_SIZE:
+            raise PhantomError(f"size {self.size} exceeds the largest size, {MAX_SIZE}")
         if self.size < 2 * self.radius_range[1] + 1:
             raise PhantomError(f"size {self.size} cannot place an organ of radius up to "
                                f"{self.radius_range[1]}: need at least 2·radius + 1")
@@ -59,6 +64,7 @@ class PhantomSample:
 
 
 MAX_PLACEMENT_ATTEMPTS = 1000
+BACKGROUND_MEAN = 0.1  # the intensity of every pixel outside the organs, before noise
 
 
 def _ellipse_mask(grid, cy: float, cx: float, ry: float, rx: float) -> np.ndarray:
@@ -85,7 +91,7 @@ def _generate_sample(cfg: PhantomConfig, rng: np.random.Generator, grid) -> Phan
         else:
             raise PhantomError(
                 f"could not place organ {organ} after {MAX_PLACEMENT_ATTEMPTS} attempts")
-    image = np.full((cfg.size, cfg.size), cfg.background_mean)
+    image = np.full((cfg.size, cfg.size), BACKGROUND_MEAN)
     for organ, mean in enumerate(cfg.organ_means, start=1):
         image[labels == organ] = mean
     if cfg.noise_sigma > 0:
@@ -218,7 +224,7 @@ def read_manifest(root) -> dict:
         raise PhantomError(f"no manifest.json under {root}")
     try:
         manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, or nested too deep
         raise PhantomError(f"corrupt manifest at {path}: {e}") from e
     if not isinstance(manifest, dict):
         raise PhantomError(f"manifest at {path} is not an object")
@@ -236,7 +242,8 @@ def read_manifest(root) -> dict:
         raise PhantomError("manifest train/test indices must be lists of integers")
     if not all(split):
         raise PhantomError("manifest train and test splits must each hold at least one sample")
-    if sorted(split[0] + split[1]) != list(range(n)):
+    # the lengths first: `range(n)` of a huge n is not a list to build
+    if len(split[0]) + len(split[1]) != n or sorted(split[0] + split[1]) != list(range(n)):
         raise PhantomError(f"manifest train and test indices must be disjoint and "
                            f"cover samples 0..{n - 1} exactly")
     return manifest

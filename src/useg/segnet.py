@@ -26,8 +26,22 @@ class ModelError(Exception):
     pass
 
 
+# The most parameters a model may have. Training holds four float64 vectors
+# of that length (weights, gradient and Adam's two moments), 32 MB at this
+# bound; the default model has 1 683.
+MAX_PARAMS = 1 << 20
+
+
+def _param_count(widths, k: int) -> int:
+    """Weights and biases of k×k convs between consecutive channel `widths`,
+    in exact integers: np.prod would wrap in int64 on a huge width."""
+    return sum(cout * (cin * k * k + 1) for cin, cout in zip(widths, widths[1:]))
+
+
 @dataclass(frozen=True)
 class SegModelConfig:
+    """A model's architecture; `num_params` is its parameter count."""
+
     num_classes: int
     in_channels: int = 1
     hidden: tuple[int, ...] = (8, 16)
@@ -41,6 +55,11 @@ class SegModelConfig:
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise ModelError("kernel size must be odd")
         object.__setattr__(self, "hidden", tuple(self.hidden))
+        widths = (self.in_channels,) + self.hidden + (self.num_classes,)
+        object.__setattr__(self, "num_params", _param_count(widths, self.kernel_size))
+        if self.num_params > MAX_PARAMS:
+            raise ModelError(f"the widths and kernel size give {self.num_params} parameters, "
+                             f"above the limit of {MAX_PARAMS}")
 
     def layer_shapes(self):
         widths = (self.in_channels,) + self.hidden + (self.num_classes,)
@@ -56,16 +75,15 @@ class SegModel:
 
     def __init__(self, config: SegModelConfig, flat: np.ndarray):
         shapes = [s for pair in config.layer_shapes() for s in pair]
-        sizes = [int(np.prod(s)) for s in shapes]
-        if flat.shape != (sum(sizes),):
+        if flat.shape != (config.num_params,):
             raise ModelError(f"{flat.shape} parameters do not match the config's "
-                             f"{sum(sizes)}")
+                             f"{config.num_params}")
         if not np.isfinite(flat).all():
             raise ModelError("non-finite values in a parameter")
         self.config = config
         self.flat = flat
         self.grad = np.zeros_like(flat)
-        bounds = np.cumsum([0] + sizes)
+        bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
         params = [Tensor(flat[lo:hi].reshape(s), self.grad[lo:hi].reshape(s))
                   for lo, hi, s in zip(bounds, bounds[1:], shapes)]
         self.layers = list(zip(params[::2], params[1::2]))
@@ -221,14 +239,15 @@ def load(path) -> SegModel:
         raise ModelError(f"{path}: version {version} != {VERSION}")
     hidden = words(16, n_hidden)
     k, classes = words(16 + 4 * n_hidden, 2)
+    start = 24 + 4 * n_hidden
+    # before the config, which refuses a model above MAX_PARAMS: a corrupted
+    # header is told by the length it promises
+    size = start + 8 * _param_count((in_ch, *hidden, classes), k)
+    if len(data) != size:
+        raise ModelError(f"{path}: expected {size} bytes, got {len(data)}")
     try:
         cfg = SegModelConfig(num_classes=classes, in_channels=in_ch,
                              hidden=hidden, kernel_size=k)
     except ModelError as e:
         raise ModelError(f"{path}: inconsistent config: {e}") from e
-    start = 24 + 4 * n_hidden
-    # exact integers: np.prod would wrap in int64 on a corrupted header
-    size = start + 8 * sum(math.prod(s) for pair in cfg.layer_shapes() for s in pair)
-    if len(data) != size:
-        raise ModelError(f"{path}: expected {size} bytes, got {len(data)}")
     return SegModel(cfg, np.frombuffer(data, dtype="<f8", offset=start).astype(np.float64))

@@ -35,8 +35,7 @@ class TrainConfig:
     lambda2: float = 20.0
     lambda3: float = 20.0
     ensemble_size: int = 6  # Q perturbed teacher passes per image
-    uncertainty_mode: str = "as-paper"  # or normalized / confidence / off
-    smooth_fg: float = 0.7
+    uncertainty_mode: str = "as-paper"  # or confidence / off
     seed: int = 0
 
     def __post_init__(self):
@@ -52,10 +51,8 @@ class TrainConfig:
             raise TrainError("loss weights must be >= 0")
         if self.ensemble_size < 1:
             raise TrainError("ensemble size Q must be >= 1")
-        if self.uncertainty_mode not in uncertainty.WEIGHT_MODES + ("off",):
+        if self.uncertainty_mode not in uncertainty.MODES:
             raise TrainError(f"unknown uncertainty mode {self.uncertainty_mode!r}")
-        if not 0.5 <= self.smooth_fg < 1.0:
-            raise TrainError("smoothing foreground value must be in [0.5, 1)")
 
 
 class Adam:
@@ -238,7 +235,7 @@ def distill_incremental(teacher: segnet.SegModel, new_samples, cfg: TrainConfig,
     # one stream feeds both the shuffle and the perturbation draws
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 2))))
     images = np.stack([s.image for s in new_samples])
-    smoothed = losses.smooth_labels(np.stack([s.labels for s in new_samples]), cfg.smooth_fg)
+    smoothed = losses.smooth_labels(np.stack([s.labels for s in new_samples]))
     # teacher is frozen, so its clean-image softmax per sample is a constant
     teacher_probs = losses.softmax(segnet.infer(teacher, images))
 

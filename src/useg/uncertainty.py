@@ -134,7 +134,9 @@ def uncertainty_map(teacher, images: np.ndarray, q: int,
     return entropy_map(probs.reshape((-1, q) + probs.shape[1:]).mean(axis=1))
 
 
-WEIGHT_MODES = ("as-paper", "normalized", "confidence")
+# the old-task weight: the raw entropy, confidence 1 − H/log C, or 1 ("off",
+# which training applies without computing a map)
+MODES = ("as-paper", "confidence", "off")
 
 
 def weight_from_uncertainty(entropy: np.ndarray, num_classes: int,
@@ -143,8 +145,6 @@ def weight_from_uncertainty(entropy: np.ndarray, num_classes: int,
     largest entropy of `num_classes` classes is log C."""
     if mode == "as-paper":
         return entropy.copy()
-    if mode == "normalized":
-        return entropy / np.log(num_classes)
     if mode == "confidence":
         return 1.0 - entropy / np.log(num_classes)
     raise PerturbationError(f"unknown uncertainty weight mode {mode!r}")

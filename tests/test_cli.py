@@ -107,6 +107,12 @@ class TestGenerate:
         assert not (out / ".lock").exists()
 
 
+def config_commands(out):
+    """The commands that read a config, each with the arguments it also needs."""
+    return {"generate": [], "train-teacher": [], "distill": [], "ablate": [],
+            "evaluate": ["--weights", str(out / "teacher.useg")]}
+
+
 def assert_refused(result, out, tree_before):
     """Exit 1 with an `error:` line, no traceback, output tree untouched."""
     assert result.exit_code == 1
@@ -186,28 +192,79 @@ class TestMalformedInput:
         assert_refused(result, out, before)
         assert "at least one sample" in result.stderr
 
-    @pytest.mark.parametrize("section, value, field", [
-        ("pool", {"contrast_range": [1]}, "pool.contrast_range"),
-        ("phantom", {"radius_range": [3]}, "phantom.radius_range"),
-        ("phantom", {"organ_means": ["a", "b", "c"]}, "phantom.organ_means[0]"),
-        ("phantom", {"size": 8}, "phantom: size 8"),
-        ("model", {"hidden": [8.5]}, "model.hidden[0]"),
-        ("phantom", {"noise_sigma": -0.01}, "phantom: noise_sigma must be >= 0"),
-    ], ids=["contrast_range", "radius_range", "organ_means", "size", "hidden", "noise_sigma"])
-    def test_config_value_refused_before_any_work(self, runner, generated, section,
-                                                  value, field):
-        # each ended in a traceback from the constructors, `generate` or
-        # `init_random`, or (a negative noise_sigma) in noise-free phantoms;
-        # now the config parse refuses it in every command
+    @pytest.mark.parametrize("key, value, args, field", [
+        ("pool", {"contrast_range": [1]}, [], "pool.contrast_range"),
+        ("phantom", {"radius_range": [3]}, [], "phantom.radius_range"),
+        ("phantom", {"organ_means": ["a", "b", "c"]}, [], "phantom.organ_means[0]"),
+        ("phantom", {"size": 8}, [], "phantom: size 8"),
+        ("model", {"hidden": [8.5]}, [], "model.hidden[0]"),
+        ("phantom", {"noise_sigma": -0.01}, [], "phantom: noise_sigma must be >= 0"),
+        ("seed", -1, [], "seed: expected a non-negative int, got -1"),
+        ("seed", 13, ["--seed", "-1"], "seed: expected a non-negative int, got -1"),
+        ("train", {"learning_rate": 10**400}, [], "train.learning_rate: expected a finite"),
+        ("train", {"weight_decay": 10**400}, [], "train.weight_decay: expected a finite"),
+        ("phantom", {"noise_sigma": 10**400}, [], "phantom.noise_sigma: expected a finite"),
+        ("phantom", {"size": 10**30}, [], f"phantom: size {10**30} exceeds"),
+        ("num_samples", 10**30, [], "num_samples must be in 5..10000"),
+        ("model", {"hidden": [4000000000]}, [], "model: the widths and kernel size give"),
+        ("model", {"kernel_size": 4000000001}, [], "model: the widths and kernel size give"),
+    ], ids=["contrast_range", "radius_range", "organ_means", "size", "hidden", "noise_sigma",
+            "seed_negative", "seed_option_negative", "learning_rate_huge",
+            "weight_decay_huge", "noise_sigma_huge", "size_huge", "num_samples_huge",
+            "hidden_huge", "kernel_size_huge"])
+    def test_config_value_refused_before_any_work(self, runner, generated, key, value,
+                                                  args, field):
+        # each ended in a traceback from the constructors, `SeedSequence`,
+        # `generate` or `init_random`, or (a negative noise_sigma) in
+        # noise-free phantoms; now the config parse refuses it in every
+        # command that reads it. `generate` reads no train settings.
         cfg_path, out = generated
         doc = json.loads(cfg_path.read_text())
-        doc[section] = value
+        doc[key] = value
         cfg_path.write_text(json.dumps(doc))
         before = read_tree_bytes(out)
-        for command in ("generate", "train-teacher"):
-            result = runner.invoke(main, [command, "--config", str(cfg_path)])
+        for command, extra in config_commands(out).items():
+            if key == "train" and command == "generate":
+                continue
+            result = runner.invoke(main, [command, "--config", str(cfg_path), *args, *extra])
             assert_refused(result, out, before)
             assert f"error: {field}" in result.stderr
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested"])
+    def test_unreadable_config(self, runner, trained, tmp_path, raw):
+        # a UnicodeDecodeError and a RecursionError from `json.loads` once
+        _, out = trained
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        before = read_tree_bytes(tmp_path)
+        for command, extra in config_commands(out).items():
+            result = runner.invoke(main, [command, "--config", str(bad), *extra])
+            assert_refused(result, tmp_path, before)
+            assert f"error: {bad}: invalid JSON" in result.stderr
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested"])
+    def test_unreadable_manifest(self, runner, trained, raw):
+        cfg_path, out = trained
+        manifest = out / "dataset" / "manifest.json"
+        manifest.write_bytes(raw)
+        before = read_tree_bytes(out)
+        for command, extra in config_commands(out).items():
+            if command == "generate":  # writes the manifest, reads none
+                continue
+            result = runner.invoke(main, [command, "--config", str(cfg_path), *extra])
+            assert_refused(result, out, before)
+            assert f"error: corrupt manifest at {manifest}" in result.stderr
+
+    def test_manifest_num_samples_huge(self, runner, generated):
+        # the split check built `list(range(num_samples))`: an OverflowError
+        cfg_path, out = generated
+        manifest = out / "dataset" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "num_samples": 10**30}))
+        before = read_tree_bytes(out)
+        result = runner.invoke(main, ["train-teacher", "--config", str(cfg_path)])
+        assert_refused(result, out, before)
+        assert "error: manifest train and test indices must be disjoint" in result.stderr
 
     def test_out_dir_not_a_string(self, runner, tmp_path):
         # once taken as the directory "7" under the working directory
@@ -363,7 +420,7 @@ class TestAblate:
         with open(out / "ablation.csv") as f:
             rows = list(csv.DictReader(f))
         assert [r["variant"] for r in rows] == \
-            ["as-paper", "normalized", "confidence", "off", "new-task-only"]
+            ["as-paper", "confidence", "off", "new-task-only"]
         schema = set(rows[0])
         assert all(set(r) == schema for r in rows)
         assert {"old_mean", "new_dice", "dice_organ1"} <= schema
@@ -425,6 +482,15 @@ class TestGradcheck:
         result = runner.invoke(main, ["gradcheck", "--seed", "1",
                                       "--step", "1e-4", "--tol", "1e-3"])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--step", "0"], ["--step", "nan"]],
+                             ids=["seed_negative", "step_zero", "step_nan"])
+    def test_bad_option_refused(self, runner, args):
+        # a ValueError from PCG64, a ZeroDivisionError, or a NaN that passed
+        result = runner.invoke(main, ["gradcheck", *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: gradcheck needs --seed >= 0 and a finite --step > 0" in result.stderr
 
     def test_impossible_tolerance_fails(self, runner):
         result = runner.invoke(main, ["gradcheck", "--seed", "0", "--tol", "1e-18"])

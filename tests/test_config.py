@@ -3,6 +3,7 @@ import json
 import pytest
 
 from useg.config import ConfigError, load_experiment, parse_experiment
+from useg.segnet import SegModelConfig
 
 BASE = {"seed": 0, "out_dir": "run", "scenario": {"teacher_organs": 2, "new_organ": 3}}
 
@@ -17,6 +18,9 @@ BASE = {"seed": 0, "out_dir": "run", "scenario": {"teacher_organs": 2, "new_orga
     ("phantom", "radius_range", "2.5"),
     ("model", "hidden", 8),
     ("scenario", "new_organ", 3.0),
+    ("train", "learning_rate", float("nan")),
+    ("train", "lambda1", float("inf")),
+    pytest.param("phantom", "noise_sigma", 10**400, id="phantom-noise_sigma-10**400"),
 ])
 def test_field_type_rejected(section, key, value):
     doc = {**BASE, section: {**BASE.get(section, {}), key: value}}
@@ -36,6 +40,20 @@ def test_float_field_accepts_int_and_tuple_field_accepts_list():
                             "pool": {"contrast_range": [0.8, 1.2]}})
     assert cfg.train.learning_rate == 1
     assert cfg.pool.contrast_range == (0.8, 1.2)
+
+
+@pytest.mark.parametrize("section, key", [("train", "smooth_fg"),
+                                          ("phantom", "background_mean")])
+def test_retired_field_rejected(section, key):
+    # label smoothing's 0.7 lives in `losses.smooth_labels` and the phantom
+    # background in `phantom.BACKGROUND_MEAN`; no document sets either
+    with pytest.raises(ConfigError, match=f"{section}.{key}: unknown field"):
+        parse_experiment({**BASE, section: {key: 0.5}})
+
+
+def test_model_section_defaults():
+    cfg = parse_experiment(BASE)
+    assert cfg.model == SegModelConfig(num_classes=3)
 
 
 def test_unknown_top_level_field():

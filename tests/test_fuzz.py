@@ -2,9 +2,15 @@
 the PGM rasters of a dataset, truncated, bit-flipped or with a byte
 inserted, passed to `useg evaluate`. Every case must end with exit code 0,
 1 or 2; a refusal must print an `error:` line, no traceback, and leave the
-output tree as it was."""
+output tree as it was.
 
+Fuzz the config parser too: documents whose fields, taken from the config
+dataclasses, are swapped for hostile values must either be refused with a
+`ConfigError` or build their first phantom and their teacher."""
+
+import dataclasses
 import json
+import typing
 
 import pytest
 from click.testing import CliRunner
@@ -12,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_cli import read_tree_bytes
+from useg import phantom, segnet
 from useg.cli import main
+from useg.config import ConfigError, ExperimentConfig, load_experiment
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -102,5 +110,49 @@ def test_corrupted_raster(run, raster):
             assert_total(cfg_path, out, out / "teacher.useg")
         finally:
             path.write_bytes(raw)
+
+    check()
+
+
+# The fuzz's valid starting point: a first phantom and a teacher of it
+# build in milliseconds.
+BASE = {"seed": 5, "out_dir": "run", "num_samples": 5,
+        "phantom": {"size": 12, "num_organs": 3, "organ_means": [0.35, 0.6, 0.85],
+                    "radius_range": [1.8, 2.2]},
+        "scenario": {"teacher_organs": 2, "new_organ": 3}}
+SECTIONS = {name: cls for name, cls in typing.get_type_hints(ExperimentConfig).items()
+            if dataclasses.is_dataclass(cls)}
+# a section's seed and the model's classes are set from elsewhere in the document
+DERIVED = ("seed", "num_classes")
+FIELDS = ([(None, f.name) for f in dataclasses.fields(ExperimentConfig)
+           if f.name not in SECTIONS]
+          + [(section, f.name) for section, cls in SECTIONS.items()
+             for f in dataclasses.fields(cls) if f.name not in DERIVED])
+
+HOSTILE = st.sampled_from([-1, -0.5, 0, 10**30, 10**400, -10**400, float("nan"),
+                           float("inf"), float("-inf"), True, None, "x", {}])
+# plausible numbers, so that some documents build
+NUMBERS = st.one_of(st.integers(-2, 40), st.floats(-1.0, 40.0))
+# lists of the wrong length, or of hostile items, in place of any field
+VALUES = st.one_of(HOSTILE, NUMBERS, st.lists(st.one_of(HOSTILE, NUMBERS), max_size=4))
+
+
+def test_config_documents(tmp_path):
+    path = tmp_path / "config.json"
+
+    @FUZZ
+    @given(st.lists(st.tuples(st.sampled_from(FIELDS), VALUES), min_size=1, max_size=3))
+    def check(swaps):
+        doc = json.loads(json.dumps(BASE))
+        for (section, name), value in swaps:
+            (doc.setdefault(section, {}) if section else doc)[name] = value
+        # NaN and Infinity go into the file as JSON's NaN/Infinity tokens
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = load_experiment(path)
+        except ConfigError:
+            return
+        phantom.generate_dataset(cfg.phantom, 1)
+        segnet.init_random(cfg.model, cfg.seed)
 
     check()

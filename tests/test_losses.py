@@ -325,6 +325,22 @@ class TestDistillLoss:
                 worst = max(worst, np.abs(node[3] - oracle[3]).max() / scale)
         assert worst < self.GRAD_TOL[std]
 
+    @pytest.mark.parametrize("std", [1.0, 3.0])
+    def test_old_term_linear_in_weight_times_lambda(self, std):
+        # for c = log C, weights u/c with (l1, l2) give the loss of weights u
+        # with (l1/c, l2/c): a mode that divides the entropy by log C only
+        # rescales l1 and l2, so it adds no objective
+        for seed in range(100):
+            logits, p_t, u, g, k, (l1, l2, l3) = distill_case(seed, std)
+            if k == 0:  # one teacher class: log C = 0
+                continue
+            c = np.log(k + 1)
+            scaled_u = losses.distill_loss(logits, p_t, u / c, g, k, l1, l2, l3)
+            scaled_lams = losses.distill_loss(logits, p_t, u, g, k, l1 / c, l2 / c, l3)
+            assert abs(scaled_u[0] - scaled_lams[0]) <= 1e-12 * abs(scaled_lams[0])
+            assert (np.abs(scaled_u[1] - scaled_lams[1]).max()
+                    <= 1e-12 * np.abs(scaled_lams[1]).max())
+
     def test_clamped_pixels_match_oracle(self):
         logits, p_t, u, g, k, lams = clamped_case()
         p = losses.softmax(logits)

@@ -15,7 +15,7 @@ import composed_losses as composed
 import graph
 from useg import losses, segnet, uncertainty
 
-MODES = uncertainty.WEIGHT_MODES + ("off",)
+MODES = uncertainty.MODES
 LAMBDAS = (1.0, 20.0, 20.0)
 
 
@@ -105,7 +105,8 @@ def heads(case):
 class TestAgainstGraph:
     # 100x the largest per-parameter |plain - graph| / max |graph| over
     # seeds 0..299 of `step_case`, rounded up: 1.5e-14 for the teacher head,
-    # 1.8e-13 for the distillation head (the largest of its four modes).
+    # 1.8e-13 for the distillation head (the largest of the four weighting
+    # modes it had then, one since removed).
     # The losses were equal bit for bit on every seed.
     GRAD_TOL = {"teacher": 2e-12, "distill": 2e-11}
 

@@ -297,12 +297,7 @@ class TestWeightFromUncertainty:
     def test_zero_entropy(self):
         u = np.zeros((2, 4, 4))
         assert np.array_equal(weight_from_uncertainty(u, 3, "as-paper"), np.zeros((2, 4, 4)))
-        assert np.array_equal(weight_from_uncertainty(u, 3, "normalized"), np.zeros((2, 4, 4)))
         assert np.array_equal(weight_from_uncertainty(u, 3, "confidence"), np.ones((2, 4, 4)))
-
-    def test_max_entropy_normalized(self):
-        u = np.full((1, 2, 2), np.log(3))
-        assert np.allclose(weight_from_uncertainty(u, 3, "normalized"), 1.0)
 
     def test_as_paper_is_identity(self):
         rng = rng_for(14)
