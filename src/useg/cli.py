@@ -106,14 +106,6 @@ def _dataset_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.out_dir) / "dataset"
 
 
-def _load_split(cfg: ExperimentConfig):
-    ds_cfg, samples, train_idx, test_idx = phantom.load_dataset(_dataset_dir(cfg))
-    if ds_cfg != cfg.phantom:
-        raise ConfigError("dataset manifest does not match the phantom config; "
-                          "regenerate the dataset")
-    return samples, train_idx, test_idx
-
-
 def _print_dice_table(report: trainer.EvalReport, title: str):
     click.echo(title)
     for organ, score in sorted(report.per_organ.items()):
@@ -160,10 +152,10 @@ def generate(config_path, seed, out):
 def train_teacher_cmd(config_path, seed, out):
     """Pretrain and freeze the K-organ teacher."""
     cfg = _load_cfg(config_path, seed, out)
-    samples, train_idx, test_idx = _load_split(cfg)
     k = cfg.scenario.teacher_organs
-    train_samples = [phantom.to_first_k_organs(samples[i], k, cfg.phantom.num_organs)
-                     for i in train_idx]
+    train_samples = [phantom.to_first_k_organs(s, k, cfg.phantom.num_organs)
+                     for s in phantom.load_dataset(_dataset_dir(cfg), cfg.phantom, "train")]
+    test_samples = phantom.load_dataset(_dataset_dir(cfg), cfg.phantom, "test")
     log_rows: list = []
     with OutputLock(Path(cfg.out_dir)):
         teacher = trainer.train_teacher(train_samples, k, cfg.train,
@@ -172,8 +164,7 @@ def train_teacher_cmd(config_path, seed, out):
         out_dir = Path(cfg.out_dir)
         segnet.save(teacher, out_dir / "teacher.useg")
         _write_csv(out_dir / "teacher_log.csv", log_rows)
-    report = trainer.evaluate(teacher, [samples[i] for i in test_idx],
-                              range(1, k + 1), cfg)
+    report = trainer.evaluate(teacher, test_samples, range(1, k + 1), cfg)
     _print_dice_table(report, "teacher held-out Dice:")
 
 
@@ -189,17 +180,14 @@ def _check_teacher(cfg: ExperimentConfig, teacher_path) -> segnet.SegModel:
     return teacher
 
 
-def _distill(cfg: ExperimentConfig, teacher, train_cfg, samples, train_idx, test_idx,
+def _distill(cfg: ExperimentConfig, teacher, train_cfg, new_samples, test_samples,
              log_rows: list | None = None):
     """Distill `teacher` on the new organ's training labels, then score the
     student on the held-out full labels; returns (student, report)."""
-    new_organ = cfg.scenario.new_organ
-    new_samples = [phantom.to_single_organ(samples[i], new_organ, cfg.phantom.num_organs)
-                   for i in train_idx]
     student = trainer.distill_incremental(teacher, new_samples, train_cfg,
                                           pool=cfg.pool, log_rows=log_rows)
-    return student, trainer.evaluate(student, [samples[i] for i in test_idx],
-                                     range(1, new_organ + 1), cfg)
+    return student, trainer.evaluate(student, test_samples,
+                                     range(1, cfg.scenario.new_organ + 1), cfg)
 
 
 @main.command()
@@ -218,10 +206,12 @@ def distill(config_path, seed, out, teacher_path, uncertainty_mode):
     train_cfg = cfg.train
     if uncertainty_mode is not None:
         train_cfg = dataclasses.replace(train_cfg, uncertainty_mode=uncertainty_mode)
-    samples, train_idx, test_idx = _load_split(cfg)
+    ds = _dataset_dir(cfg)
+    new_samples = phantom.load_dataset(ds, cfg.phantom, "train", cfg.scenario.new_organ)
+    test_samples = phantom.load_dataset(ds, cfg.phantom, "test")
     log_rows: list = []
     with OutputLock(out_dir):
-        student, report = _distill(cfg, teacher, train_cfg, samples, train_idx, test_idx,
+        student, report = _distill(cfg, teacher, train_cfg, new_samples, test_samples,
                                    log_rows)
         segnet.save(student, out_dir / "student.useg")
         _write_csv(out_dir / "distill_log.csv", log_rows)
@@ -245,9 +235,11 @@ def ablate(config_path, seed, out, teacher_path):
     cfg = _load_cfg(config_path, seed, out)
     out_dir = Path(cfg.out_dir)
     teacher = _check_teacher(cfg, teacher_path)
-    samples, train_idx, test_idx = _load_split(cfg)
     k = cfg.scenario.teacher_organs
     new_organ = cfg.scenario.new_organ
+    ds = _dataset_dir(cfg)
+    new_samples = phantom.load_dataset(ds, cfg.phantom, "train", new_organ)
+    test_samples = phantom.load_dataset(ds, cfg.phantom, "test")
     rows = []
     with OutputLock(out_dir):
         for variant in ABLATION_VARIANTS:
@@ -257,7 +249,7 @@ def ablate(config_path, seed, out, teacher_path):
             else:
                 train_cfg = dataclasses.replace(cfg.train, uncertainty_mode=variant)
             try:
-                _, report = _distill(cfg, teacher, train_cfg, samples, train_idx, test_idx)
+                _, report = _distill(cfg, teacher, train_cfg, new_samples, test_samples)
             except trainer.TrainError as e:
                 raise trainer.TrainError(f"ablation variant {variant!r} failed: {e}") from e
             row = {"variant": variant}
@@ -281,9 +273,9 @@ def evaluate(config_path, seed, out, weights_path):
     """Evaluate saved weights on the held-out full-label split."""
     cfg = _load_cfg(config_path, seed, out)
     model = segnet.load(weights_path)
-    samples, _, test_idx = _load_split(cfg)
+    test_samples = phantom.load_dataset(_dataset_dir(cfg), cfg.phantom, "test")
     organs = range(1, min(model.config.num_classes - 1, cfg.phantom.num_organs) + 1)
-    report = trainer.evaluate(model, [samples[i] for i in test_idx], organs, cfg)
+    report = trainer.evaluate(model, test_samples, organs, cfg)
     _print_dice_table(report, f"held-out Dice for {weights_path}:")
 
 

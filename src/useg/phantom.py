@@ -173,6 +173,8 @@ def read_pgm(path) -> tuple:
     if len(raster) != expected:
         raise PhantomError(f"{path}: raster truncated ({len(raster)} of {expected} bytes)")
     arr = np.frombuffer(raster, dtype=dtype).reshape(h, w).astype(np.int64)
+    if arr.max() > maxval:
+        raise PhantomError(f"{path}: raster value {arr.max()} above maxval {maxval}")
     return arr, maxval
 
 
@@ -196,6 +198,11 @@ def split_indices(n: int) -> tuple:
     return list(range(n_train)), list(range(n_train, n))
 
 
+def _phantom_section(cfg: PhantomConfig) -> dict:
+    """`cfg` as the manifest's phantom section holds it, tuples as lists."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+
 def write_dataset(root, cfg: PhantomConfig, samples) -> None:
     root = Path(root)
     (root / "images").mkdir(parents=True, exist_ok=True)
@@ -210,7 +217,7 @@ def write_dataset(root, cfg: PhantomConfig, samples) -> None:
             write_pgm(view.labels, root / f"labels_organ{k}" / f"{i}.pgm", 1)
     train, test = split_indices(len(samples))
     manifest = {
-        "phantom": dataclasses.asdict(cfg),
+        "phantom": _phantom_section(cfg),
         "num_samples": len(samples),
         "train_indices": train,
         "test_indices": test,
@@ -234,8 +241,6 @@ def read_manifest(root) -> dict:
     n = manifest["num_samples"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise PhantomError(f"manifest num_samples must be a positive integer, got {n!r}")
-    if not isinstance(manifest["phantom"], dict):
-        raise PhantomError("manifest phantom must be an object")
     split = [manifest["train_indices"], manifest["test_indices"]]
     if not all(isinstance(part, list) and all(
             isinstance(i, int) and not isinstance(i, bool) for i in part) for part in split):
@@ -249,26 +254,30 @@ def read_manifest(root) -> dict:
     return manifest
 
 
-def load_dataset(root) -> tuple:
-    """Returns (cfg, samples with full labels, train_indices, test_indices)."""
+def load_dataset(root, cfg: PhantomConfig, split: str,
+                 organ: int | None = None) -> list[PhantomSample]:
+    """The `split` ("train" or "test") samples of the dataset written for
+    `cfg`, with full labels or, given `organ`, that organ's single-organ
+    labels. No other raster is opened. The manifest's phantom section is
+    compared with `cfg`, not parsed."""
     root = Path(root)
     manifest = read_manifest(root)
-    try:
-        cfg = PhantomConfig(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in manifest["phantom"].items()})
-    except (TypeError, IndexError, PhantomError) as e:
-        raise PhantomError(f"manifest phantom section is invalid: {e}") from e
+    if manifest["phantom"] != _phantom_section(cfg):
+        raise PhantomError("dataset manifest does not match the phantom config; "
+                           "regenerate the dataset")
+    labels_dir = "labels_full" if organ is None else f"labels_organ{organ}"
+    maxval = cfg.num_organs if organ is None else 1
     samples = []
-    for i in range(manifest["num_samples"]):
+    for i in manifest[f"{split}_indices"]:
         image_path = root / "images" / f"{i}.pgm"
-        label_path = root / "labels_full" / f"{i}.pgm"
+        label_path = root / labels_dir / f"{i}.pgm"
         image = image_from_pgm(image_path)
-        labels, maxval = read_pgm(label_path)
+        labels, label_maxval = read_pgm(label_path)
         for path, raster in ((image_path, image[0]), (label_path, labels)):
             if raster.shape != (cfg.size, cfg.size):
                 raise PhantomError(f"{path}: raster is {raster.shape[0]}x{raster.shape[1]}, "
                                    f"but the manifest's size is {cfg.size}")
-        if maxval != cfg.num_organs or labels.max() > cfg.num_organs:
-            raise PhantomError(f"label file {i} inconsistent with manifest")
+        if label_maxval != maxval:
+            raise PhantomError(f"{label_path}: maxval {label_maxval}, expected {maxval}")
         samples.append(PhantomSample(image=image, labels=labels))
-    return cfg, samples, manifest["train_indices"], manifest["test_indices"]
+    return samples

@@ -23,6 +23,13 @@ class TrainError(Exception):
     pass
 
 
+# The largest ensemble Q. `uncertainty_map` holds a minibatch's B·Q copies
+# at once, with their teacher logits and probabilities: a `tracemalloc` peak
+# of 46 MB for the default B = 2, size and 3 classes at this bound, about
+# 90 KB per copy; the default Q is 6.
+MAX_ENSEMBLE = 256
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 3e-5
@@ -49,8 +56,8 @@ class TrainConfig:
             raise TrainError("batch size must be >= 1")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise TrainError("loss weights must be >= 0")
-        if self.ensemble_size < 1:
-            raise TrainError("ensemble size Q must be >= 1")
+        if not 1 <= self.ensemble_size <= MAX_ENSEMBLE:
+            raise TrainError(f"ensemble size Q must be in 1..{MAX_ENSEMBLE}")
         if self.uncertainty_mode not in uncertainty.MODES:
             raise TrainError(f"unknown uncertainty mode {self.uncertainty_mode!r}")
 

@@ -20,6 +20,12 @@ class PerturbationError(Exception):
     pass
 
 
+# The largest blur σ. `_smooth_rows` holds 2·⌈3σ⌉·H·W floats per copy, 60·H·W
+# at this bound (0.5 MB at the default size, whose 32 pixels a radius of 30
+# already spans); the default σ is at most 1.5.
+MAX_BLUR_SIGMA = 10.0
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     p_include: float = 0.5
@@ -38,8 +44,8 @@ class PoolConfig:
                 raise PerturbationError(f"{name}: lo > hi")
         if self.contrast_range[0] <= 0:
             raise PerturbationError("contrast factors must be > 0")
-        if self.blur_sigma_range[0] <= 0:
-            raise PerturbationError("blur sigmas must be > 0")
+        if not 0 < self.blur_sigma_range[0] <= self.blur_sigma_range[1] <= MAX_BLUR_SIGMA:
+            raise PerturbationError(f"blur sigmas must be in (0, {MAX_BLUR_SIGMA}]")
         if self.noise_sigma_range[0] < 0:
             raise PerturbationError("noise sigmas must be >= 0")
 

@@ -208,16 +208,20 @@ class TestMalformedInput:
         ("num_samples", 10**30, [], "num_samples must be in 5..10000"),
         ("model", {"hidden": [4000000000]}, [], "model: the widths and kernel size give"),
         ("model", {"kernel_size": 4000000001}, [], "model: the widths and kernel size give"),
+        ("train", {"ensemble_size": 10**8}, [], "train: ensemble size Q must be in 1..256"),
+        ("pool", {"blur_sigma_range": [0.5, 1e300]}, [], "pool: blur sigmas must be in (0, "),
     ], ids=["contrast_range", "radius_range", "organ_means", "size", "hidden", "noise_sigma",
             "seed_negative", "seed_option_negative", "learning_rate_huge",
             "weight_decay_huge", "noise_sigma_huge", "size_huge", "num_samples_huge",
-            "hidden_huge", "kernel_size_huge"])
+            "hidden_huge", "kernel_size_huge", "ensemble_size_huge", "blur_sigma_huge"])
     def test_config_value_refused_before_any_work(self, runner, generated, key, value,
                                                   args, field):
         # each ended in a traceback from the constructors, `SeedSequence`,
-        # `generate` or `init_random`, or (a negative noise_sigma) in
-        # noise-free phantoms; now the config parse refuses it in every
-        # command that reads it. `generate` reads no train settings.
+        # `generate`, `init_random` or `distill` (a segfault for Q = 10**8, a
+        # `ValueError` from the blur's `np.arange` for σ = 1e300), or (a
+        # negative noise_sigma) in noise-free phantoms; now the config parse
+        # refuses it in every command that reads it. `generate` reads no
+        # train settings.
         cfg_path, out = generated
         doc = json.loads(cfg_path.read_text())
         doc[key] = value
@@ -335,6 +339,8 @@ class TestTrainTeacher:
         result = runner.invoke(main, ["train-teacher", "--config", str(other_path),
                                       "--out", str(out)])
         assert result.exit_code == 1
+        assert ("dataset manifest does not match the phantom config; "
+                "regenerate the dataset") in result.stderr
 
 
 @pytest.fixture()
@@ -410,6 +416,51 @@ class TestDistill:
         assert runner.invoke(main, ["distill", "--config", str(cfg_path)]).exit_code == 0
         assert (out / "student.useg").read_bytes() == first
         assert (out / "eval_report.json").read_bytes() == first_report
+
+
+class TestDataFree:
+    def test_each_command_opens_only_what_its_stage_may_see(self, runner, trained,
+                                                            monkeypatch):
+        # the incremental stage trains "without accessing any data belonging
+        # to the previous training stages": it opens the new organ's labels
+        # for the train split, and the full labels of the held-out split only
+        cfg_path, out = trained
+        ds = out / "dataset"
+        manifest = json.loads((ds / "manifest.json").read_text())
+        train, test = manifest["train_indices"], manifest["test_indices"]
+        opened = []
+        read_pgm = phantom.read_pgm
+
+        def recording(path):
+            opened.append(Path(path).relative_to(ds).as_posix())
+            return read_pgm(path)
+
+        monkeypatch.setattr(phantom, "read_pgm", recording)
+
+        def files(folder, split):
+            return [f"{folder}/{i}.pgm" for i in split]
+
+        held_out = files("images", test) + files("labels_full", test)
+        incremental = files("images", train) + files("labels_organ3", train) + held_out
+        expected = {
+            "train-teacher": files("images", train) + files("labels_full", train) + held_out,
+            "distill": incremental,
+            "ablate": incremental,
+            "evaluate": held_out,
+        }
+        for command, want in expected.items():
+            opened.clear()
+            result = runner.invoke(main, [command, "--config", str(cfg_path),
+                                          *config_commands(out)[command]])
+            assert result.exit_code == 0, result.output
+            if command in ("distill", "ablate"):
+                assert not set(opened) & set(files("labels_full", train)), command
+            if command == "evaluate":
+                assert not [f for f in opened if int(Path(f).stem) in train]
+            if command == "train-teacher":
+                assert not [f for f in opened if f.startswith("labels_organ")]
+            # every file of the split once, and nothing else
+            assert sorted(opened) == sorted(want), command
 
 
 class TestAblate:

@@ -1,8 +1,10 @@
-"""Fuzz the two binary readers through the CLI: a `.useg` weights file and
-the PGM rasters of a dataset, truncated, bit-flipped or with a byte
-inserted, passed to `useg evaluate`. Every case must end with exit code 0,
-1 or 2; a refusal must print an `error:` line, no traceback, and leave the
-output tree as it was.
+"""Fuzz the files a command reads through the CLI: a `.useg` weights file
+and the PGM rasters of a dataset passed to `useg evaluate`, a single-organ
+raster passed to `useg distill`, and `manifest.json` passed to `useg
+train-teacher` and `useg distill`, each truncated, bit-flipped or with a
+byte inserted. Every case must end with exit code 0, 1 or 2; a refusal
+must print an `error:` line, no traceback, and leave the output tree as it
+was.
 
 Fuzz the config parser too: documents whose fields, taken from the config
 dataclasses, are swapped for hostile values must either be refused with a
@@ -25,7 +27,8 @@ from useg.config import ConfigError, ExperimentConfig, load_experiment
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 # half the positions fall here: a .useg header with two hidden layers is 32
-# bytes, and a PGM header of these rasters at most 15
+# bytes, a PGM header of these rasters at most 15, and the manifest's
+# first 32 bytes hold its phantom section's first fields
 HOT_BYTES = 32
 
 
@@ -39,7 +42,7 @@ def run(tmp_path_factory):
         "phantom": {"size": 12, "num_organs": 3, "organ_means": [0.35, 0.6, 0.85],
                     "radius_range": [1.8, 2.2]},
         "scenario": {"teacher_organs": 2, "new_organ": 3},
-        "train": {"teacher_epochs": 1, "batch_size": 2},
+        "train": {"teacher_epochs": 1, "distill_epochs": 1, "batch_size": 2},
     }
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(doc))
@@ -70,10 +73,9 @@ def mutate(raw: bytes, mutation) -> bytes:
     return raw[:pos] + bytes(arg) + raw[pos:]
 
 
-def assert_total(cfg_path, out, weights):
+def assert_total(cfg_path, out, command, *args):
     before = read_tree_bytes(out)
-    result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
-                                       "--weights", str(weights)])
+    result = CliRunner().invoke(main, [command, "--config", str(cfg_path), *args])
     assert result.exit_code in (0, 1, 2)
     assert isinstance(result.exception, (SystemExit, type(None)))
     if result.exit_code:
@@ -91,27 +93,41 @@ def test_corrupted_weights(run, tmp_path_factory):
     @given(mutations(len(raw)))
     def check(mutation):
         bad.write_bytes(mutate(raw, mutation))
-        assert_total(cfg_path, out, bad)
+        assert_total(cfg_path, out, "evaluate", "--weights", str(bad))
 
     check()
 
 
-@pytest.mark.parametrize("raster", ["images/4.pgm", "labels_full/4.pgm"])
-def test_corrupted_raster(run, raster):
+def fuzz_dataset_file(run, name, command):
     cfg_path, out = run
-    path = out / "dataset" / raster
+    path = out / "dataset" / name
     raw = path.read_bytes()
+    args = ["--weights", str(out / "teacher.useg")] if command == "evaluate" else []
 
     @FUZZ
     @given(mutations(len(raw)))
     def check(mutation):
         path.write_bytes(mutate(raw, mutation))
         try:
-            assert_total(cfg_path, out, out / "teacher.useg")
+            assert_total(cfg_path, out, command, *args)
         finally:
             path.write_bytes(raw)
 
     check()
+
+
+# sample 4 is the held-out one, which evaluate reads; distill trains on
+# sample 0's new-organ labels
+@pytest.mark.parametrize("raster", ["images/4.pgm", "labels_full/4.pgm",
+                                    "labels_organ3/0.pgm"])
+def test_corrupted_raster(run, raster):
+    fuzz_dataset_file(run, raster,
+                      "distill" if raster.startswith("labels_organ") else "evaluate")
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill"])
+def test_corrupted_manifest(run, command):
+    fuzz_dataset_file(run, "manifest.json", command)
 
 
 # The fuzz's valid starting point: a first phantom and a teacher of it

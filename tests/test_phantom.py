@@ -140,6 +140,17 @@ class TestPgm:
         with pytest.raises(PhantomError, match="values out of PGM range"):
             write_pgm(np.array([[5]]), tmp_path / "o.pgm", 3)
 
+    @pytest.mark.parametrize("header, raster", [
+        (b"P5 2 2 100\n", bytes([0, 50, 200, 255])),  # decoded to 2.0 and 2.55 once
+        (b"P5 2 1 1\n", bytes([0, 2])),                # a single-organ raster
+        (b"P5 1 1 256\n", bytes([1, 1])),              # 16 bits: 257
+    ], ids=["u8", "single_organ", "u16"])
+    def test_value_above_maxval_rejected(self, tmp_path, header, raster):
+        path = tmp_path / "v.pgm"
+        path.write_bytes(header + raster)
+        with pytest.raises(PhantomError, match="above maxval"):
+            read_pgm(path)
+
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x07\x09")
@@ -181,13 +192,16 @@ class TestDatasetIO:
         cfg = PhantomConfig(seed=5)
         samples = generate_dataset(cfg, 6)
         write_dataset(tmp_path / "ds", cfg, samples)
-        got_cfg, got, train, test = load_dataset(tmp_path / "ds")
-        assert got_cfg == cfg
-        assert len(got) == 6
+        train = load_dataset(tmp_path / "ds", cfg, "train")
+        test = load_dataset(tmp_path / "ds", cfg, "test")
         assert len(train) == 4 and len(test) == 2
-        for a, b in zip(samples, got):
+        for a, b in zip(samples, train + test):
             assert np.array_equal(a.labels, b.labels)
             assert np.abs(a.image - b.image).max() <= 1.0 / 65535
+        for organ in range(1, cfg.num_organs + 1):
+            for a, b in zip(train, load_dataset(tmp_path / "ds", cfg, "train", organ)):
+                assert np.array_equal(b.image, a.image)
+                assert np.array_equal(b.labels, to_single_organ(a, organ, 3).labels)
 
     def test_reproducible_bytes(self, tmp_path):
         cfg = PhantomConfig(seed=6)
@@ -199,12 +213,12 @@ class TestDatasetIO:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(PhantomError):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, PhantomConfig(), "train")
 
     def test_corrupt_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(PhantomError):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, PhantomConfig(), "train")
 
     @pytest.mark.parametrize("change", [
         {"num_samples": 0}, {"num_samples": True}, {"num_samples": "5"},
@@ -220,6 +234,8 @@ class TestDatasetIO:
         {"train_indices": [0, 1, 2, 3, 4], "test_indices": []},
         {"phantom": {"radius_range": [3]}},
         {"phantom": {"radius_range": [4, 3]}},
+        {"phantom": {"size": 32, "num_organs": 3, "organ_means": [0.35, 0.6, 0.85],
+                     "noise_sigma": 0.03, "radius_range": [2.5, 5.0], "seed": 6}},
     ])
     def test_malformed_manifest_rejected(self, tmp_path, change):
         cfg = PhantomConfig(seed=5)
@@ -227,15 +243,32 @@ class TestDatasetIO:
         doc = json.loads((tmp_path / "manifest.json").read_text())
         (tmp_path / "manifest.json").write_text(json.dumps({**doc, **change}))
         with pytest.raises(PhantomError, match="manifest"):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, cfg, "train")
 
-    @pytest.mark.parametrize("folder", ["images", "labels_full"])
-    def test_raster_of_wrong_size_rejected(self, tmp_path, folder):
+    def test_phantom_section_is_compared_not_parsed(self, tmp_path):
+        cfg = PhantomConfig(seed=5)
+        write_dataset(tmp_path, cfg, generate_dataset(cfg, 5))
+        with pytest.raises(PhantomError, match="does not match the phantom config; "
+                                               "regenerate the dataset"):
+            load_dataset(tmp_path, PhantomConfig(seed=6), "test")
+
+    @pytest.mark.parametrize("folder, organ", [
+        ("images", None), ("labels_full", None), ("labels_organ2", 2)],
+        ids=["images", "labels_full", "labels_organ2"])
+    def test_raster_of_wrong_size_rejected(self, tmp_path, folder, organ):
         cfg = PhantomConfig(seed=5)
         write_dataset(tmp_path, cfg, generate_dataset(cfg, 5))
         write_pgm(np.zeros((16, 16), dtype=np.int64), tmp_path / folder / "3.pgm", 3)
         with pytest.raises(PhantomError, match=f"{folder}/3.pgm: raster is 16x16"):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, cfg, "train", organ)
+
+    def test_single_organ_raster_needs_maxval_one(self, tmp_path):
+        cfg = PhantomConfig(seed=5)
+        samples = generate_dataset(cfg, 5)
+        write_dataset(tmp_path, cfg, samples)
+        write_pgm(samples[1].labels == 2, tmp_path / "labels_organ2" / "1.pgm", 3)
+        with pytest.raises(PhantomError, match="labels_organ2/1.pgm: maxval 3, expected 1"):
+            load_dataset(tmp_path, cfg, "train", 2)
 
     def test_manifest_write_failing_halfway_keeps_old_manifest(self, tmp_path, monkeypatch):
         from test_segnet import fail_writes_halfway
@@ -247,4 +280,4 @@ class TestDatasetIO:
             write_dataset(tmp_path, cfg, generate_dataset(cfg, 6))
         assert (tmp_path / "manifest.json").read_bytes() == before
         assert not list(tmp_path.glob(".manifest.json*"))
-        assert len(load_dataset(tmp_path)[1]) == 5
+        assert len(load_dataset(tmp_path, cfg, "train")) == 4
